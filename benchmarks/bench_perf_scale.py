@@ -24,16 +24,17 @@ from pathlib import Path
 from conftest import emit, param, pedantic_args, smoke_mode
 
 from repro.expt import build_manifest, cell_from_scale_result, stable_json
+from repro.obs import Observability
 from repro.perf import (
     run_cluster_scale_bench,
     run_obs_overhead_scenario,
-    run_profiled_scale_scenario,
     run_scale_scenario,
     run_server_compare_scenario,
     run_sweep,
     scale_grid,
 )
 from repro.perf.scenarios import ScaleScenario
+from repro.scenarios import SCENARIOS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -118,12 +119,16 @@ def test_perf_scale_points(benchmark):
     )
 
     cluster = run_cluster_scale_bench(
-        nodes=CLUSTER_NODES,
-        sessions=CLUSTER_SESSIONS,
-        titles=CLUSTER_TITLES,
-        per_node_streams=CLUSTER_PER_NODE_STREAMS,
-        failover_nodes=CLUSTER_FAILOVER_NODES,
-        failover_sessions=CLUSTER_FAILOVER_SESSIONS,
+        scale={
+            "nodes": CLUSTER_NODES,
+            "sessions": CLUSTER_SESSIONS,
+            "titles": CLUSTER_TITLES,
+            "per_node_streams": CLUSTER_PER_NODE_STREAMS,
+        },
+        failover={
+            "nodes": CLUSTER_FAILOVER_NODES,
+            "sessions": CLUSTER_FAILOVER_SESSIONS,
+        },
     )
     assert cluster.all_continuous, (
         "every admitted cluster session must stay continuous: "
@@ -158,10 +163,20 @@ def test_perf_scale_points(benchmark):
             f"({overhead.wall_obs_s:.3f}s vs {overhead.wall_off_s:.3f}s)"
         )
 
-    profiled = run_profiled_scale_scenario(
-        streams=STREAM_POINTS[-1], blocks_per_stream=BLOCKS_PER_STREAM
+    # Metrics + profiler only (no spans or timeline), so attribution
+    # sees every access while perturbing the loop as little as possible.
+    scale = SCENARIOS["scale"]
+    params = scale.resolve({
+        "streams": STREAM_POINTS[-1], "blocks_per_stream": BLOCKS_PER_STREAM,
+    })
+    profiler_obs = Observability.for_profiling(seed=0)
+    profiled = run_scale_scenario(
+        ScaleScenario(name="profiled-scale", seed=0, **params),
+        profiler_obs,
     )
-    profile_section = profiled.section
+    profile_section = scale.profile_section(
+        0, params, profiled, profiler_obs
+    )
     share_sum = sum(
         phase["share"] for phase in profile_section["phases"].values()
     )

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# The one-command CI gate: lint, tier-1 tests, then the smoke
-# experiment matrix against its committed baseline (docs/EXPERIMENTS.md).
+# The one-command CI gate: lint, tier-1 and benchmark-harness tests,
+# then the smoke experiment matrix against its committed baseline
+# (docs/EXPERIMENTS.md).
 #
 #   scripts/check.sh            # everything
 #   SKIP_TESTS=1 scripts/check.sh   # lint + matrix gate only
@@ -21,6 +22,11 @@ fi
 if [ "${SKIP_TESTS:-0}" != "1" ]; then
     echo "== tier-1 pytest =="
     python -m pytest -x -q
+
+    # The benchmark imports the cluster and server builders directly;
+    # its own tests catch a refactor that breaks them.
+    echo "== benchmark harness tests =="
+    python -m pytest -q perfbench/tests
 fi
 
 echo "== smoke experiment matrix =="

@@ -119,8 +119,14 @@ def fetches_with_gap(
 def default_msm(
     profile: HardwareProfile = TESTBED_1991,
     drive: Optional[SimulatedDrive] = None,
+    obs=None,
 ) -> MultimediaStorageManager:
-    """A storage manager on the standard testbed drive."""
+    """A storage manager on *profile*'s streams and devices.
+
+    The one testbed stack builder: *drive* defaults to a fresh testbed
+    drive, and *obs* (an :class:`~repro.obs.Observability`) is attached
+    when given.
+    """
     if drive is None:
         drive = build_drive()
     return MultimediaStorageManager(
@@ -129,6 +135,7 @@ def default_msm(
         profile.audio,
         profile.video_device,
         profile.audio_device,
+        obs=obs,
     )
 
 

@@ -11,18 +11,16 @@ Commands
     tables — the figure-regeneration harness without pytest.
 ``demo``
     The quickstart flow: derive policy, record a clip, play it back.
-``obs-report [--faults] [--cluster] [--top N] [--json]``
-    Run a canonical observed scenario and print its observability
-    report (or raw snapshot JSON) — see :mod:`repro.obs.scenarios`;
-    with ``--cluster``, the federated cluster smoke scenario with
-    per-node metrics and profile rollups.
-``profile [--preset NAME] [--top N] [--smoke] [--json] [--trace-out F]``
-    Run a scenario under the deterministic cost-attribution profiler
-    (:class:`repro.obs.CostProfiler`) and print the ranked cost
-    centers; presets ``steady`` / ``server-hot`` / ``cluster`` /
-    ``scale`` (the n×1000-block service loop).  ``--json`` emits the
-    byte-stable profile section, ``--trace-out`` a Perfetto document
-    with per-phase counter tracks.
+``obs-report [--scenario NAME] [--top N] [--json]``
+    Run a registry scenario under its observability and print the
+    observability report (or raw snapshot JSON); the cluster scenarios
+    carry per-node metrics and profile rollups.
+``profile [--scenario NAME] [--top N] [--smoke] [--json] [--trace-out F]``
+    Run a registry scenario under the deterministic cost-attribution
+    profiler (:class:`repro.obs.CostProfiler`) and print the ranked cost
+    centers; ``--smoke`` runs it at its smoke size, ``--json`` emits
+    the byte-stable profile section, ``--trace-out`` a Perfetto
+    document with per-phase counter tracks.
 ``perf-sweep [--streams N ...] [--blocks N] [--workers N] [--json]``
     Fan a grid of service-loop scale scenarios across worker processes
     and print simulator-throughput scores — see :mod:`repro.perf`.
@@ -32,7 +30,7 @@ Commands
     ``--compare``, pit it against per-request admission on the same
     disk (see :mod:`repro.server.scenarios`).
 ``trace-export [--scenario NAME] [--out FILE] [--json]``
-    Run a canonical scenario with span tracing on and emit its causal
+    Run a registry scenario with span tracing on and emit its causal
     trace as Chrome trace-event JSON, loadable in Perfetto
     (https://ui.perfetto.dev) or ``chrome://tracing`` — see
     :meth:`repro.obs.SpanTracer.to_chrome_trace`.
@@ -49,6 +47,13 @@ Commands
     and exits non-zero on regression; ``diff`` prints per-cell metric
     deltas between two manifests.
 
+``--scenario NAME`` takes any name of the scenario registry
+(:data:`repro.scenarios.SCENARIOS`): ``steady``, ``fault``,
+``server-steady``, ``server-hot``, ``server-fault``, ``scale``,
+``cluster-failover`` and ``cluster-scale``.  ``serve`` runs
+``server-hot`` and ``cluster`` runs ``cluster-scale`` (``cluster-failover``
+with ``--failover`` or ``--smoke``) from the same entries.
+
 Every scenario-running subcommand (``demo``, ``obs-report``,
 ``profile``, ``perf-sweep``, ``serve``, ``cluster``,
 ``trace-export``) accepts
@@ -62,16 +67,15 @@ from __future__ import annotations
 
 import argparse
 import random
+import re
 import sys
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import analysis
-from repro.config import PROFILES, get_profile
+from repro.config import DEFAULT_SEED, PROFILES, get_profile
 from repro.core import continuity, video_block_model
 from repro.core.continuity import Architecture
-from repro.disk import build_drive
-from repro.errors import InfeasibleError
-from repro.fs import MultimediaStorageManager
+from repro.errors import InfeasibleError, ParameterError
 from repro.media import frames_for_duration, generate_talk_spurts
 from repro.rope import Media, MultimediaRopeServer
 from repro.service import PlaybackSession
@@ -79,35 +83,21 @@ from repro.units import format_rate, format_seconds
 
 __all__ = ["main", "EXPERIMENTS"]
 
-#: Experiment registry: id -> driver returning an object with ``.table``.
-EXPERIMENTS: Dict[str, Callable[[], object]] = {
-    "e1": analysis.e1_architectures,
-    "e2": analysis.e2_k_vs_n,
-    "e3": analysis.e3_transition,
-    "e4": analysis.e4_allocation,
-    "e5": analysis.e5_buffering,
-    "e6": analysis.e6_mixed_media,
-    "e7": analysis.e7_hdtv,
-    "e8": analysis.e8_edit_copy,
-    "e9": analysis.e9_rope_ops,
-    "e10": analysis.e10_silence,
-    "e11": analysis.e11_symbols,
-    "e12": analysis.e12_prototype,
-    "e13": analysis.e13_variable_rate,
-    "e14": analysis.e14_scan_ordering,
-    "e15": analysis.e15_reorganization,
-    "e16": analysis.e16_variable_speed,
-    "e17": analysis.e17_striping,
-    "e18": analysis.e18_antijitter,
-    "e19": analysis.e19_unified_server,
-    "e20": analysis.e20_heterogeneous_k,
-    "e21": analysis.e21_record_and_play,
-}
+#: Experiment registry: id -> driver returning an object with ``.table``;
+#: every ``analysis.eN_*`` driver, in id order.
+EXPERIMENTS: Dict[str, Callable[[], object]] = dict(sorted(
+    (
+        (name.split("_", 1)[0], getattr(analysis, name))
+        for name in analysis.__all__
+        if re.fullmatch(r"e\d+_\w+", name)
+    ),
+    key=lambda item: int(item[0][1:]),
+))
 
 
 def _add_common_options(
     parser: argparse.ArgumentParser,
-    seed_default: int = 20260806,
+    seed_default: int = DEFAULT_SEED,
     seed_help: str = "deterministic scenario seed",
     json_help: str = "print machine-readable JSON instead of the report",
     include_seed: bool = True,
@@ -127,6 +117,18 @@ def _add_common_options(
                             help=seed_help)
     parser.add_argument("--json", action="store_true", help=json_help)
     return parser
+
+
+def _add_scenario_option(
+    parser: argparse.ArgumentParser, default: str, verb: str
+) -> None:
+    """Attach ``--scenario NAME`` with the registry's names as choices."""
+    from repro.scenarios import SCENARIOS
+
+    parser.add_argument(
+        "--scenario", default=default, choices=list(SCENARIOS),
+        help=f"registry scenario to {verb} (default: {default})",
+    )
 
 
 def _cmd_profiles(_args: argparse.Namespace) -> int:
@@ -157,11 +159,7 @@ def _cmd_profiles(_args: argparse.Namespace) -> int:
 def _cmd_policy(args: argparse.Namespace) -> int:
     profile = get_profile(args.profile)
     try:
-        drive = build_drive()
-        msm = MultimediaStorageManager(
-            drive, profile.video, profile.audio,
-            profile.video_device, profile.audio_device,
-        )
+        msm = analysis.default_msm(profile)
     except InfeasibleError as error:
         print(f"no feasible policy on this profile: {error}")
         return 1
@@ -193,12 +191,12 @@ def _cmd_policy(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    ids = args.ids or sorted(EXPERIMENTS, key=lambda e: int(e[1:]))
+    ids = args.ids or list(EXPERIMENTS)
     unknown = [i for i in ids if i not in EXPERIMENTS]
     if unknown:
         print(
             f"unknown experiment id(s): {', '.join(unknown)}; "
-            f"known: {', '.join(sorted(EXPERIMENTS, key=lambda e: int(e[1:])))}"
+            f"known: {', '.join(EXPERIMENTS)}"
         )
         return 2
     for experiment_id in ids:
@@ -214,12 +212,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     profile = get_profile(args.profile)
-    drive = build_drive()
-    msm = MultimediaStorageManager(
-        drive, profile.video, profile.audio,
-        profile.video_device, profile.audio_device,
-    )
-    mrs = MultimediaRopeServer(msm)
+    mrs = MultimediaRopeServer(analysis.default_msm(profile))
     rng = random.Random(args.seed)
     frames = frames_for_duration(profile.video, args.seconds, source="demo")
     chunks = generate_talk_spurts(profile.audio, args.seconds, 0.35, rng)
@@ -252,90 +245,57 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0 if metrics.continuous else 1
 
 
+def _scenario(
+    args: argparse.Namespace, name: str, smoke: bool = False, **overrides
+):
+    """The registry entry *name* and its parameters for this command.
+
+    *overrides* maps parameter names to option values; options left
+    unset (None) keep the entry's defaults (its smoke sizes with
+    *smoke*).
+    """
+    from repro.scenarios import SCENARIOS
+
+    entry = SCENARIOS[name]
+    try:
+        return entry, entry.resolve(overrides, smoke=smoke)
+    except ParameterError as error:
+        raise SystemExit(f"{args.command}: {error}") from None
+
+
 def _cmd_obs_report(args: argparse.Namespace) -> int:
-    from repro.obs.scenarios import run_fault_scenario, run_steady_scenario
-
-    if args.cluster:
-        from repro.cluster import (
-            cluster_observability,
-            run_cluster_smoke_scenario,
-        )
-
-        obs = cluster_observability(args.seed, profile=True)
-        run = run_cluster_smoke_scenario(seed=args.seed, obs=obs)
-        if args.json:
-            print(run.snapshot(include_profile=args.profile_timers))
-        else:
-            print(run.obs.report(top=args.top))
-        result = run.result
-        return 0 if result.continuous_sessions == result.admitted else 1
-    if args.faults:
-        run = run_fault_scenario(
-            seconds=args.seconds,
-            seed=args.seed,
-            head_failure_at_op=args.head_failure_at_op,
-        )
-    else:
-        run = run_steady_scenario(seconds=args.seconds)
+    entry, params = _scenario(
+        args, args.scenario, seconds=args.seconds,
+        head_failure_at_op=args.head_failure_at_op,
+    )
+    obs = entry.observability(args.seed)
+    run = entry.run(args.seed, obs, **params)
     if args.json:
-        print(run.snapshot(include_profile=args.profile_timers))
+        print(obs.snapshot(include_profile=args.profile_timers))
     else:
-        print(run.obs.report(top=args.top))
+        print(obs.report(top=args.top))
         print()
-        print(run.result.summary())
-    return 0 if run.result.total_misses == run.result.total_skips else 1
-
-
-def _profile_scenario(args: argparse.Namespace):
-    """Run the requested ``repro profile`` preset; returns (obs, section)."""
-    from repro.obs.observer import Observability
-
-    if args.preset == "scale":
-        from repro.perf import run_profiled_scale_scenario
-
-        if args.smoke:
-            run = run_profiled_scale_scenario(
-                streams=4, blocks_per_stream=16, seed=args.seed,
-                name="profile-smoke",
-            )
-        else:
-            run = run_profiled_scale_scenario(
-                streams=args.streams,
-                blocks_per_stream=args.blocks,
-                seed=args.seed,
-            )
-        return run.obs, run.section
-    if args.preset == "steady":
-        from repro.obs.scenarios import run_steady_scenario
-
-        obs = Observability(seed=args.seed)
-        obs.enable_slos()
-        obs.enable_profiler()
-        run_steady_scenario(obs=obs)
-    elif args.preset == "server-hot":
-        from repro.server.scenarios import run_server_hot_scenario
-
-        obs = Observability.for_scale(seed=args.seed)
-        obs.enable_profiler()
-        run_server_hot_scenario(seed=args.seed, obs=obs)
-    else:  # cluster
-        from repro.cluster import (
-            cluster_observability,
-            run_cluster_smoke_scenario,
-        )
-
-        obs = cluster_observability(args.seed, profile=True)
-        run_cluster_smoke_scenario(seed=args.seed, obs=obs)
-    return obs, obs.profiler.summary_dict()
+        print(", ".join(
+            f"{key}={value}"
+            for key, value in entry.metrics(run).items()
+            if value is not None
+        ))
+    return 0 if entry.healthy(run) else 1
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     import json
 
-    obs, section = _profile_scenario(args)
-    profiler = obs.profiler
+    entry, params = _scenario(
+        args, args.scenario, smoke=args.smoke,
+        streams=args.streams, blocks_per_stream=args.blocks,
+    )
+    obs = entry.observability(args.seed)
+    profiler = obs.enable_profiler()
+    run = entry.run(args.seed, obs, **params)
+    section = entry.profile_section(args.seed, params, run, obs)
     share_sum = sum(
-        entry["share"] for entry in section["phases"].values()
+        phase["share"] for phase in section["phases"].values()
     )
     # Attribution must account for the whole run: shares sum to 1
     # whenever anything was recorded.
@@ -359,16 +319,16 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             f"{share_sum:.12f}"
         )
     else:
-        print(f"profile: {args.preset} (seed {args.seed})")
+        print(f"profile: {args.scenario} (seed {args.seed})")
         print(
             f"  total: {profiler.total_ops} ops, "
             f"{profiler.total_cost:.6f}s modeled"
         )
         print("  cost centers:")
-        for entry in profiler.top_cost_centers(args.top):
+        for center in profiler.top_cost_centers(args.top):
             print(
-                f"    {entry['phase']:<20} ops={entry['ops']:<10} "
-                f"cost={entry['cost_s']:.6f}s share={entry['share']:.4f}"
+                f"    {center['phase']:<20} ops={center['ops']:<10} "
+                f"cost={center['cost_s']:.6f}s share={center['share']:.4f}"
             )
         for drive, phases in sorted(section["per_drive"].items()):
             cost = sum(stat["cost_s"] for stat in phases.values())
@@ -419,13 +379,22 @@ def _cmd_perf_sweep(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import json
 
-    from repro.server import run_serve_compare, run_server_hot_scenario
+    from repro.server import run_serve_compare
 
+    entry, params = _scenario(
+        args, "server-hot", smoke=args.smoke,
+        sessions=args.sessions,
+        strands=args.strands,
+        seconds=args.seconds,
+        cache_blocks=0 if args.no_cache else args.cache_blocks,
+        batch_window=args.batch_window,
+        batching=False if args.no_batch else None,
+    )
     if args.compare:
         record = run_serve_compare(
-            sessions=args.sessions,
-            strands=args.strands,
-            seconds=args.seconds,
+            sessions=params["sessions"],
+            strands=params["strands"],
+            seconds=params["seconds"],
             seed=args.seed,
         )
         if args.json:
@@ -450,20 +419,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             > record["per_request"]["continuous"]
         )
         return 0 if won else 1
+    run = entry.run(args.seed, None, **params)
     if args.smoke:
-        run = run_server_hot_scenario(
-            sessions=6, strands=2, seconds=1.0, seed=args.seed
-        )
         print(run.snapshot())
-        return 0 if run.final.total_misses == 0 else 1
-    run = run_server_hot_scenario(
-        sessions=args.sessions,
-        strands=args.strands,
-        seconds=args.seconds,
-        seed=args.seed,
-        cache_blocks=0 if args.no_cache else args.cache_blocks,
-        batch_window=0.0 if args.no_batch else args.batch_window,
-    )
+        return 0 if entry.healthy(run) else 1
     result = run.final
     if args.json:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
@@ -478,21 +437,29 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"  {result.batches} batches, {result.rounds} rounds at "
             f"k={result.k_used}, cache {result.cache_stats or 'off'}"
         )
-    return 0 if result.total_misses == 0 else 1
+    return 0 if entry.healthy(run) else 1
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     import json
 
-    from repro.cluster import (
-        run_cluster_failover_scenario,
-        run_cluster_scale_scenario,
-        run_cluster_smoke_scenario,
+    failover = args.failover or args.smoke
+    entry, params = _scenario(
+        args, "cluster-failover" if failover else "cluster-scale",
+        smoke=args.smoke,
+        nodes=args.nodes,
+        sessions=args.sessions,
+        titles=args.titles,
+        seconds=args.seconds,
+        per_node_streams=args.per_node_streams,
+        min_replicas=args.replicas,
+        chunks=args.chunks,
+        kill_node=args.kill_node,
+        kill_chunk=args.kill_chunk,
     )
-
+    run = entry.run(args.seed, None, **params)
+    result = run.result
     if args.smoke:
-        run = run_cluster_smoke_scenario(seed=args.seed)
-        result = run.result
         clean = (
             result.continuous_sessions == result.admitted
             and result.handoffs_clean == len(result.handoffs)
@@ -500,30 +467,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         )
         print(run.snapshot())
         return 0 if clean else 1
-    def resolved(value, scale_default, failover_default):
-        if value is not None:
-            return value
-        return failover_default if args.failover else scale_default
-
-    sizing = dict(
-        nodes=resolved(args.nodes, 20, 4),
-        sessions=resolved(args.sessions, 1000, 32),
-        titles=resolved(args.titles, 40, 8),
-        seconds=resolved(args.seconds, 1.0, 2.0),
-        per_node_streams=resolved(args.per_node_streams, 75, 24),
-        min_replicas=args.replicas,
-        chunks=resolved(args.chunks, 1, 4),
-        seed=args.seed,
-    )
-    if args.failover:
-        run = run_cluster_failover_scenario(
-            kill_node=args.kill_node,
-            kill_chunk=args.kill_chunk,
-            **sizing,
-        )
-    else:
-        run = run_cluster_scale_scenario(**sizing)
-    result = run.result
     ratio = result.handoff_clean_ratio
     if args.json:
         print(json.dumps({
@@ -564,46 +507,17 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             f"satisfiable, storage "
             f"{'ok' if bounds.storage_ok else 'infeasible'}"
         )
-    healthy = result.continuous_sessions == result.admitted
-    if result.handoffs:
-        healthy = healthy and (ratio or 0.0) > 0.9
-    return 0 if healthy else 1
+    return 0 if entry.healthy(run) else 1
 
 
 def _cmd_trace_export(args: argparse.Namespace) -> int:
     import json
 
-    from repro.obs.observer import Observability
-
-    if args.scenario in ("steady", "fault"):
-        from repro.obs.scenarios import (
-            run_fault_scenario,
-            run_steady_scenario,
-        )
-
-        obs = Observability(seed=args.seed)
-        obs.enable_slos()
-        if args.profile:
-            obs.enable_profiler()
-        if args.scenario == "steady":
-            run_steady_scenario(obs=obs)
-        else:
-            run_fault_scenario(seed=args.seed, obs=obs)
-    elif args.scenario == "server-steady":
-        from repro.server.scenarios import run_server_steady_scenario
-
-        obs = Observability(seed=args.seed)
-        obs.enable_slos()
-        if args.profile:
-            obs.enable_profiler()
-        run_server_steady_scenario(obs=obs)
-    else:
-        from repro.server.scenarios import run_server_hot_scenario
-
-        obs = Observability.for_scale(seed=args.seed)
-        if args.profile:
-            obs.enable_profiler()
-        run_server_hot_scenario(seed=args.seed, obs=obs)
+    entry, params = _scenario(args, args.scenario)
+    obs = entry.observability(args.seed)
+    if args.profile:
+        obs.enable_profiler()
+    entry.run(args.seed, obs, **params)
     document = obs.to_chrome_trace()
     payload = json.dumps(document, indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -804,27 +718,22 @@ def build_parser() -> argparse.ArgumentParser:
         "obs-report",
         help="run an observed scenario and print its telemetry",
     )
-    obs_report.add_argument(
-        "--faults", action="store_true",
-        help="run the fault-injection scenario instead of steady state",
-    )
+    _add_scenario_option(obs_report, "steady", "report")
     obs_report.add_argument(
         "--profile-timers", action="store_true",
         help="include wall-clock timer data (not byte-stable) in --json",
     )
-    obs_report.add_argument("--seconds", type=float, default=4.0)
+    obs_report.add_argument(
+        "--seconds", type=float, default=None,
+        help="media seconds per recording (default: the scenario's)",
+    )
     _add_common_options(
-        obs_report, seed_help="fault-plan seed (with --faults)",
+        obs_report, seed_help="scenario seed (fault plan, trace ids)",
         json_help="print the raw snapshot JSON instead of the report",
     )
     obs_report.add_argument(
         "--head-failure-at-op", type=int, default=None,
-        help="inject a head failure at this disk-op index (with --faults)",
-    )
-    obs_report.add_argument(
-        "--cluster", action="store_true",
-        help="report the federated cluster smoke scenario (per-node "
-             "metrics and profile) instead of the single-drive runs",
+        help="inject a head failure at this disk-op index (fault)",
     )
     obs_report.add_argument(
         "--top", type=int, default=5,
@@ -836,18 +745,14 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="run a scenario under the cost-attribution profiler",
     )
+    _add_scenario_option(profile, "scale", "profile")
     profile.add_argument(
-        "--preset", default="scale",
-        choices=["steady", "server-hot", "cluster", "scale"],
-        help="which canonical scenario to profile (default: scale)",
+        "--streams", type=int, default=None,
+        help="concurrent streams (scale)",
     )
     profile.add_argument(
-        "--streams", type=int, default=1000,
-        help="concurrent streams for the scale preset (default: 1000)",
-    )
-    profile.add_argument(
-        "--blocks", type=int, default=1000,
-        help="blocks per stream for the scale preset (default: 1000)",
+        "--blocks", type=int, default=None,
+        help="blocks per stream (scale)",
     )
     profile.add_argument(
         "--top", type=int, default=5,
@@ -855,7 +760,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument(
         "--smoke", action="store_true",
-        help="run a tiny fixed scale point and verify attribution health",
+        help="run the scenario at its smoke size and verify attribution "
+             "health",
     )
     profile.add_argument(
         "--trace-out", default=None, metavar="FILE",
@@ -915,24 +821,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve a multi-tenant MediaServer scenario",
     )
     serve.add_argument(
-        "--sessions", type=int, default=50,
-        help="concurrent open requests in the hot wave (default: 50)",
+        "--sessions", type=int, default=None,
+        help="concurrent open requests in the hot wave",
     )
     serve.add_argument(
-        "--strands", type=int, default=5,
-        help="distinct hot ropes the sessions share (default: 5)",
+        "--strands", type=int, default=None,
+        help="distinct hot ropes the sessions share",
     )
     serve.add_argument(
-        "--seconds", type=float, default=2.0,
-        help="length of each recorded strand (default: 2.0)",
+        "--seconds", type=float, default=None,
+        help="length of each recorded strand, seconds",
     )
     serve.add_argument(
-        "--cache-blocks", type=int, default=512,
-        help="block-cache capacity (default: 512)",
+        "--cache-blocks", type=int, default=None,
+        help="block-cache capacity, blocks",
     )
     serve.add_argument(
-        "--batch-window", type=float, default=0.25,
-        help="admission batching window, seconds (default: 0.25)",
+        "--batch-window", type=float, default=None,
+        help="admission batching window, seconds",
     )
     serve.add_argument(
         "--no-cache", action="store_true",
@@ -948,7 +854,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--smoke", action="store_true",
-        help="run a small fixed scenario and emit its obs snapshot",
+        help="run server-hot at its smoke size and emit its obs snapshot",
     )
     _add_common_options(
         serve, seed_help="arrival-jitter seed",
@@ -962,51 +868,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cluster.add_argument(
         "--nodes", type=int, default=None,
-        help="MediaServer nodes in the cluster "
-             "(default: 20 scale / 4 failover)",
+        help="MediaServer nodes in the cluster",
     )
     cluster.add_argument(
         "--sessions", type=int, default=None,
-        help="concurrent open requests (default: 1000 scale / 32 failover)",
+        help="concurrent open requests",
     )
     cluster.add_argument(
         "--titles", type=int, default=None,
-        help="catalog titles, Zipf-popular (default: 40 scale / 8 failover)",
+        help="catalog titles, Zipf-popular",
     )
     cluster.add_argument(
         "--seconds", type=float, default=None,
-        help="length of each recorded title "
-             "(default: 1.0 scale / 2.0 failover)",
+        help="length of each recorded title, seconds",
     )
     cluster.add_argument(
         "--per-node-streams", type=int, default=None,
-        help="per-node concurrent-session capacity "
-             "(default: 75 scale / 24 failover)",
+        help="per-node concurrent-session capacity",
     )
     cluster.add_argument(
-        "--replicas", type=int, default=2,
-        help="minimum replicas per title (default: 2)",
+        "--replicas", type=int, default=None,
+        help="minimum replicas per title",
     )
     cluster.add_argument(
         "--chunks", type=int, default=None,
-        help="chunk epochs per session (handoff granularity; "
-             "default: 1 scale / 4 failover)",
+        help="chunk epochs per session (handoff granularity)",
     )
     cluster.add_argument(
         "--failover", action="store_true",
         help="run the node-kill failover scenario instead of scale",
     )
     cluster.add_argument(
-        "--kill-node", type=int, default=1,
-        help="node index the failover plan kills (default: 1)",
+        "--kill-node", type=int, default=None,
+        help="node index the failover plan kills",
     )
     cluster.add_argument(
-        "--kill-chunk", type=int, default=2,
-        help="chunk boundary the kill fires at (default: 2)",
+        "--kill-chunk", type=int, default=None,
+        help="chunk boundary the kill fires at",
     )
     cluster.add_argument(
         "--smoke", action="store_true",
-        help="run the tiny fixed scenario and emit its obs snapshot",
+        help="run cluster-failover at its smoke size and emit its obs "
+             "snapshot",
     )
     _add_common_options(
         cluster, seed_help="workload seed (title draws and arrivals)",
@@ -1018,11 +921,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace-export",
         help="export a scenario's causal trace as Chrome trace JSON",
     )
-    trace_export.add_argument(
-        "--scenario", default="server-steady",
-        choices=["steady", "fault", "server-steady", "server-hot"],
-        help="which canonical scenario to trace (default: server-steady)",
-    )
+    _add_scenario_option(trace_export, "server-steady", "trace")
     trace_export.add_argument(
         "--out", default=None, metavar="FILE",
         help="write the trace-event JSON to FILE",

@@ -14,7 +14,7 @@ multi-node deployment while keeping the :mod:`repro.api` surface:
   (single-video, full-catalog, storage, max-flow demand) the measured
   cluster is reported against;
 * :mod:`repro.cluster.scenarios` — the canonical seed-deterministic
-  scale / failover / smoke runs.
+  scale and failover runs.
 """
 
 from repro.cluster.bounds import (
@@ -40,7 +40,6 @@ from repro.cluster.scenarios import (
     cluster_observability,
     run_cluster_failover_scenario,
     run_cluster_scale_scenario,
-    run_cluster_smoke_scenario,
 )
 
 __all__ = [
@@ -61,7 +60,6 @@ __all__ = [
     "full_catalog_bound",
     "run_cluster_failover_scenario",
     "run_cluster_scale_scenario",
-    "run_cluster_smoke_scenario",
     "single_video_bound",
     "storage_feasible",
     "zipf_popularity",

@@ -27,10 +27,10 @@ from repro.config import TESTBED_1991
 from repro.disk import build_drive
 from repro.errors import ParameterError
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
-from repro.fs import MultimediaStorageManager
 from repro.media.frames import frames_for_duration
-from repro.rope import Media, MultimediaRopeServer
+from repro.rope import Media
 from repro.server.media_server import MediaServer
+from repro.server.scenarios import build_media_server
 
 from repro.cluster.placement import CatalogTitle
 
@@ -187,22 +187,13 @@ def build_node(
     obs=None,
 ) -> ClusterNode:
     """A ClusterNode over a fresh testbed drive and storage manager."""
-    profile = TESTBED_1991
     drive = build_drive()
     # Per-drive profiler rollups should distinguish the shards.
     drive.profile_label = f"{node_id}.drive"
-    msm = MultimediaStorageManager(
-        drive,
-        profile.video,
-        profile.audio,
-        profile.video_device,
-        profile.audio_device,
-        obs=obs,
-    )
-    server = MediaServer(
-        MultimediaRopeServer(msm),
-        batch_window=batch_window,
+    server = build_media_server(
+        obs,
         cache_blocks=cache_blocks,
-        obs=obs,
+        batch_window=batch_window,
+        drive=drive,
     )
     return ClusterNode(node_id=node_id, server=server, capacity=capacity)

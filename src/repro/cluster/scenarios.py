@@ -16,8 +16,8 @@ Two headline runs:
   surviving replicas; the acceptance bar is >90% of affected sessions
   resuming without a continuity break.
 
-Both compose into :func:`run_cluster_smoke_scenario`, the tiny variant
-``scripts/check.sh`` gates on.
+The registry entries ``cluster-scale`` and ``cluster-failover``
+(:mod:`repro.scenarios`) carry their defaults and smoke sizes.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.api import ClusterServeResult, Media, OpenSessionRequest
+from repro.config import DEFAULT_SEED
 from repro.faults import FaultKind, FaultPlan, FaultSpec
 from repro.obs.observer import Observability
 from repro.obs.slo import SloMonitor
@@ -46,11 +47,7 @@ __all__ = [
     "cluster_observability",
     "run_cluster_scale_scenario",
     "run_cluster_failover_scenario",
-    "run_cluster_smoke_scenario",
 ]
-
-#: Seed shared with the server and obs scenarios.
-DEFAULT_SEED = 20260806
 
 
 @dataclass
@@ -186,8 +183,8 @@ def cluster_observability(
 
     With *profile* a :class:`~repro.obs.CostProfiler` is attached, so
     scenario runs additionally carry per-phase / per-node cost
-    attribution (the ``repro profile cluster`` and ``repro obs-report
-    --cluster`` presets).
+    attribution (what ``repro obs-report`` and ``repro profile`` watch
+    the cluster scenarios with).
     """
     obs = Observability.for_scale(seed=seed)
     obs.slo = SloMonitor(obs.registry, CLUSTER_SLOS)
@@ -306,32 +303,5 @@ def run_cluster_failover_scenario(
     return _run(
         nodes, sessions, titles, seconds, per_node_streams,
         min_replicas, chunks, seed, obs, fault_plan=plan,
-        scope_nodes=scope_nodes,
-    )
-
-
-def run_cluster_smoke_scenario(
-    seed: int = DEFAULT_SEED,
-    obs: Optional[Observability] = None,
-    scope_nodes: bool = True,
-) -> ClusterScenarioRun:
-    """The tiny CI gate: 3 nodes, 12 sessions, one node killed.
-
-    Small enough for scripts/check.sh, yet it exercises the whole
-    surface — placement, routing, chunked serving, a deterministic node
-    kill, and clean handoff.
-    """
-    return run_cluster_failover_scenario(
-        nodes=3,
-        sessions=12,
-        titles=4,
-        seconds=1.0,
-        per_node_streams=8,
-        min_replicas=2,
-        chunks=3,
-        kill_node=1,
-        kill_chunk=1,
-        seed=seed,
-        obs=obs,
         scope_nodes=scope_nodes,
     )

@@ -50,8 +50,12 @@ __all__ = [
     "HDTV_2_5_GBIT",
     "FAST_ARRAY_1995",
     "PROFILES",
+    "DEFAULT_SEED",
     "get_profile",
 ]
+
+#: Seed of the canonical scenarios, their golden snapshots and the CLI.
+DEFAULT_SEED = 20260806
 
 
 @dataclass(frozen=True)

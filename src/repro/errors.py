@@ -231,5 +231,5 @@ class GarbageCollectionError(StorageError):
 # ---------------------------------------------------------------------------
 
 class SimulationError(ReproError):
-    """The discrete-event engine detected an inconsistency (time reversal,
-    deadlocked processes, event scheduled in the past)."""
+    """A simulation record is inconsistent (a span or timeline that
+    breaks its own ordering or conservation rules)."""

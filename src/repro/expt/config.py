@@ -9,27 +9,13 @@ mirrors muBench-style replication suites (SNIPPETS.md): topology and
 scale live in declarative workmodel files, the runner maps each factor
 combination onto an executable scenario.
 
-Three workload kinds are understood:
-
-``scale``
-    The raw §3.4 service loop via :class:`repro.perf.ScaleScenario` —
-    consumes the *drives* and *seeds* axes (cache/batching do not apply
-    to the bare round loop).
-``server-hot``
-    The multi-tenant :func:`repro.server.run_server_hot_scenario`
-    acceptance workload — consumes *cache_blocks*, *batching*, and
-    *seeds* (the server front end always runs the testbed drive).
-``obs-overhead``
-    The tracing-overhead comparison
-    (:func:`repro.perf.run_obs_overhead_scenario`) — consumes *seeds*
-    only.
-``cluster-scale``
-    The sharded-VoD failover acceptance run
-    (:func:`repro.cluster.run_cluster_failover_scenario`): N nodes, a
-    replicated Zipf catalog, a deterministic mid-stream node kill, and
-    chunked inter-node handoff — consumes *seeds* only (each node owns
-    its private drive array and cache; the cluster axes live in the
-    workload params).
+Every workload kind is a scenario of the registry
+(:data:`repro.scenarios.SCENARIOS`), which supplies its parameter names,
+types and defaults, the matrix axes it consumes (``scale`` the drive
+axis, ``server-hot`` the cache and batching axes, every kind the seeds)
+and its cell-id format; ``obs-overhead``
+(:data:`repro.scenarios.OBS_OVERHEAD`), the paired tracing-overhead
+timing of ``scale``, is the one kind that is not a scenario.
 
 Every config carries a canonical SHA-256 ``config_hash`` so a results
 manifest names exactly the matrix that produced it; two dicts with the
@@ -39,12 +25,14 @@ same content hash identically regardless of key order.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ParameterError
-from repro.perf.scenarios import ARRIVALS, DRIVE_CONFIGS
+from repro.perf.scenarios import DRIVE_CONFIGS
+from repro.scenarios import OBS_OVERHEAD, SCENARIOS
 
 __all__ = [
     "CONFIG_SCHEMA_VERSION",
@@ -62,8 +50,9 @@ __all__ = [
 #: Version stamped into configs and manifests; bump on shape changes.
 CONFIG_SCHEMA_VERSION = 1
 
-#: Workload kinds the expansion understands.
-WORKLOAD_KINDS = ("scale", "server-hot", "obs-overhead", "cluster-scale")
+#: Workload kinds the expansion understands: the scenario registry plus
+#: the obs-overhead timing.
+KINDS = {**SCENARIOS, OBS_OVERHEAD.name: OBS_OVERHEAD}
 
 #: Gate-tolerance comparison kinds (documented in repro.expt.gate).
 TOLERANCE_KINDS = ("relative_drop", "max", "min", "exact")
@@ -135,9 +124,9 @@ class WorkloadSpec:
         )
         kind = raw.get("kind")
         _require(
-            kind in WORKLOAD_KINDS,
+            isinstance(kind, str) and kind in KINDS,
             f"workloads[{index}].kind must be one of "
-            f"{', '.join(WORKLOAD_KINDS)}; got {kind!r}",
+            f"{', '.join(KINDS)}; got {kind!r}",
         )
         golden = raw.get("golden", False)
         _require(
@@ -149,7 +138,12 @@ class WorkloadSpec:
             for key, value in raw.items()
             if key not in ("kind", "golden")
         }
-        allowed = _WORKLOAD_PARAMS[kind]
+        entry = KINDS[kind]
+        allowed = {
+            key: types
+            for key, types in entry.param_types().items()
+            if key not in entry.axes
+        }
         unknown = sorted(set(params) - set(allowed))
         _require(
             not unknown,
@@ -169,51 +163,17 @@ class WorkloadSpec:
                     value > 0,
                     f"workloads[{index}].{key} must be positive",
                 )
-        if kind == "scale" and "arrivals" in params:
-            _require(
-                params["arrivals"] in ARRIVALS,
-                f"workloads[{index}].arrivals must be one of "
-                f"{', '.join(ARRIVALS)}",
-            )
+            if key in entry.choices:
+                _require(
+                    value in entry.choices[key],
+                    f"workloads[{index}].{key} must be one of "
+                    f"{', '.join(entry.choices[key])}",
+                )
         return WorkloadSpec(
             kind=kind,
             params=tuple(sorted(params.items())),
             golden=golden,
         )
-
-
-#: Allowed kind-specific parameters and their types.
-_WORKLOAD_PARAMS: Dict[str, Dict[str, tuple]] = {
-    "scale": {
-        "streams": (int,),
-        "blocks_per_stream": (int,),
-        "k": (int,),
-        "buffer_capacity": (int,),
-        "arrivals": (str,),
-    },
-    "server-hot": {
-        "sessions": (int,),
-        "strands": (int,),
-        "seconds": (int, float),
-        "batch_window": (int, float),
-    },
-    "obs-overhead": {
-        "streams": (int,),
-        "blocks_per_stream": (int,),
-        "repeats": (int,),
-    },
-    "cluster-scale": {
-        "nodes": (int,),
-        "sessions": (int,),
-        "titles": (int,),
-        "seconds": (int, float),
-        "per_node_streams": (int,),
-        "min_replicas": (int,),
-        "chunks": (int,),
-        "kill_node": (int,),
-        "kill_chunk": (int,),
-    },
-}
 
 
 @dataclass(frozen=True)
@@ -424,114 +384,30 @@ class ExperimentConfig:
         Axis order within a workload is fixed: drive, cache, batching,
         seed.
         """
+        axes = {
+            "drive": self.drives,
+            "cache_blocks": self.cache_blocks,
+            "batching": self.batching,
+        }
         cells: List[MatrixCell] = []
         for spec in self.workloads:
-            params = spec.param_dict()
-            if spec.kind == "scale":
-                for drive in self.drives:
-                    for seed in self.seeds:
-                        merged = {
-                            "streams": 10,
-                            "blocks_per_stream": 100,
-                            "k": 4,
-                            "buffer_capacity": 8,
-                            "arrivals": "uniform",
-                            **params,
-                            "drive": drive,
-                            "seed": seed,
-                        }
-                        cell_id = (
-                            f"scale-{drive}-{merged['arrivals']}"
-                            f"-n{merged['streams']}"
-                            f"-b{merged['blocks_per_stream']}"
-                            f"-seed{seed}"
-                        )
-                        cells.append(MatrixCell(
-                            cell_id=cell_id,
-                            kind=spec.kind,
-                            golden=spec.golden,
-                            spec=tuple(sorted(merged.items())),
-                        ))
-            elif spec.kind == "server-hot":
-                for cache in self.cache_blocks:
-                    for batch in self.batching:
-                        for seed in self.seeds:
-                            merged = {
-                                "sessions": 6,
-                                "strands": 2,
-                                "seconds": 1.0,
-                                "batch_window": 0.25,
-                                **params,
-                                "cache_blocks": cache,
-                                "batching": batch,
-                                "seed": seed,
-                            }
-                            cell_id = (
-                                f"server-hot-s{merged['sessions']}"
-                                f"x{merged['strands']}-c{cache}"
-                                f"-batch{'on' if batch else 'off'}"
-                                f"-seed{seed}"
-                            )
-                            cells.append(MatrixCell(
-                                cell_id=cell_id,
-                                kind=spec.kind,
-                                # The golden (SLO-refusing) mark binds
-                                # to the acceptance configuration only:
-                                # cache-off / batch-off variants are
-                                # degraded baselines that reject by
-                                # §3.4 design.
-                                golden=(
-                                    spec.golden
-                                    and cache > 0
-                                    and batch
-                                ),
-                                spec=tuple(sorted(merged.items())),
-                            ))
-            elif spec.kind == "obs-overhead":
-                for seed in self.seeds:
-                    merged = {
-                        "streams": 8,
-                        "blocks_per_stream": 50,
-                        "repeats": 2,
-                        **params,
-                        "seed": seed,
-                    }
-                    cell_id = (
-                        f"obs-overhead-n{merged['streams']}"
-                        f"-b{merged['blocks_per_stream']}-seed{seed}"
-                    )
-                    cells.append(MatrixCell(
-                        cell_id=cell_id,
-                        kind=spec.kind,
-                        golden=spec.golden,
-                        spec=tuple(sorted(merged.items())),
-                    ))
-            else:  # cluster-scale
-                for seed in self.seeds:
-                    merged = {
-                        "nodes": 4,
-                        "sessions": 32,
-                        "titles": 8,
-                        "seconds": 2.0,
-                        "per_node_streams": 24,
-                        "min_replicas": 2,
-                        "chunks": 4,
-                        "kill_node": 1,
-                        "kill_chunk": 2,
-                        **params,
-                        "seed": seed,
-                    }
-                    cell_id = (
-                        f"cluster-n{merged['nodes']}"
-                        f"-s{merged['sessions']}"
-                        f"-t{merged['titles']}-seed{seed}"
-                    )
-                    cells.append(MatrixCell(
-                        cell_id=cell_id,
-                        kind=spec.kind,
-                        golden=spec.golden,
-                        spec=tuple(sorted(merged.items())),
-                    ))
+            entry = KINDS[spec.kind]
+            names = [axis for axis in axes if axis in entry.axes]
+            for *values, seed in itertools.product(
+                *(axes[axis] for axis in names), self.seeds
+            ):
+                merged = {
+                    **entry.params,
+                    **spec.param_dict(),
+                    **dict(zip(names, values)),
+                    "seed": seed,
+                }
+                cells.append(MatrixCell(
+                    cell_id=entry.cell_id(merged),
+                    kind=spec.kind,
+                    golden=spec.golden and entry.accepts(merged),
+                    spec=tuple(sorted(merged.items())),
+                ))
         seen: Dict[str, int] = {}
         for cell in cells:
             seen[cell.cell_id] = seen.get(cell.cell_id, 0) + 1
@@ -602,7 +478,7 @@ SMOKE_CONFIG_DICT: Dict = {
             "repeats": 3,
         },
         {
-            "kind": "cluster-scale",
+            "kind": "cluster-failover",
             "nodes": 3,
             "sessions": 12,
             "titles": 4,
@@ -667,7 +543,7 @@ FULL_CONFIG_DICT: Dict = {
             "repeats": 5,
         },
         {
-            "kind": "cluster-scale",
+            "kind": "cluster-failover",
             "nodes": 4,
             "sessions": 32,
             "titles": 8,

@@ -21,7 +21,6 @@ tests pin only the metrics.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -29,16 +28,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import ParameterError
 from repro.expt.config import (
     CONFIG_SCHEMA_VERSION,
+    KINDS,
     ExperimentConfig,
     MatrixCell,
 )
-from repro.perf.scenarios import (
-    ScaleResult,
-    ScaleScenario,
-    run_obs_overhead_scenario,
-    run_scale_scenario,
-)
+from repro.perf.scenarios import ScaleResult
 from repro.perf.sweep import map_parallel
+from repro.scenarios import METRIC_KEYS, OBS_OVERHEAD, SCENARIOS, ratio
 
 __all__ = [
     "MANIFEST_SCHEMA_VERSION",
@@ -54,20 +50,6 @@ __all__ = [
 
 #: Version of the manifest/cell record shape; bump on changes.
 MANIFEST_SCHEMA_VERSION = 1
-
-#: Metric keys every cell record carries (None when not applicable).
-METRIC_KEYS = (
-    "blocks_delivered",
-    "misses",
-    "rounds",
-    "continuity_ratio",
-    "reject_rate",
-    "cache_hit_ratio",
-    "slo_breaches",
-    "slo_breach_events",
-    "handoffs",
-    "handoff_clean_ratio",
-)
 
 #: Keys of the timing-dependent perf section.  ``obs_overhead_ratio``
 #: lives here (not in metrics) because it is a wall-clock ratio: gated
@@ -85,15 +67,6 @@ def stable_json(value: object) -> str:
     import json
 
     return json.dumps(value, sort_keys=True, indent=2) + "\n"
-
-
-def _ratio(numerator: float, denominator: float) -> Optional[float]:
-    """A guarded ratio: None instead of dividing by zero or NaN."""
-    if denominator != denominator or numerator != numerator:
-        return None
-    if denominator == 0:
-        return None
-    return numerator / denominator
 
 
 @dataclass(frozen=True)
@@ -119,215 +92,48 @@ class CellResult:
         }
 
 
-def _metrics_template() -> Dict[str, Optional[float]]:
-    return {key: None for key in METRIC_KEYS}
-
-
-def _run_scale_cell(cell: MatrixCell) -> CellResult:
-    spec = cell.spec_dict()
-    scenario = ScaleScenario(
-        name=cell.cell_id,
-        streams=spec["streams"],
-        blocks_per_stream=spec["blocks_per_stream"],
-        k=spec["k"],
-        buffer_capacity=spec["buffer_capacity"],
-        seed=spec["seed"],
-        drive=spec["drive"],
-        arrivals=spec["arrivals"],
-    )
-    result = run_scale_scenario(scenario)
-    metrics = _metrics_template()
-    metrics.update(
-        blocks_delivered=result.blocks_delivered,
-        misses=result.misses,
-        rounds=result.rounds,
-        continuity_ratio=_ratio(
-            result.blocks_delivered - result.misses,
-            result.blocks_delivered,
-        ),
-        reject_rate=0.0,
-    )
-    return CellResult(
-        cell_id=cell.cell_id,
-        kind=cell.kind,
-        golden=cell.golden,
-        spec=spec,
-        metrics=metrics,
-        perf={
-            "wall_time_s": result.wall_time_s,
-            "blocks_per_second": result.blocks_per_second,
-        },
-    )
-
-
-def _run_server_cell(cell: MatrixCell) -> CellResult:
-    from repro.obs.observer import Observability
-    from repro.server.scenarios import run_server_hot_scenario
-
-    spec = cell.spec_dict()
-    obs = Observability.for_scale(seed=spec["seed"])
-    started = time.perf_counter()
-    run = run_server_hot_scenario(
-        sessions=spec["sessions"],
-        strands=spec["strands"],
-        seconds=spec["seconds"],
-        seed=spec["seed"],
-        cache_blocks=spec["cache_blocks"],
-        batch_window=(
-            spec["batch_window"] if spec["batching"] else 0.0
-        ),
-        obs=obs,
-    )
-    wall = time.perf_counter() - started
-    final = run.final
-    delivered = sum(s.blocks_delivered for s in final.statuses)
-    hits = final.cache_stats.get("hits", 0)
-    cache_misses = final.cache_stats.get("misses", 0)
-    # Unresolved breaches (still bad when the run ends) gate golden
-    # cells; transition events are recorded separately because healthy
-    # runs breach transiently (the cache-warm SLO always starts cold).
-    breaches = breach_events = 0
-    if obs.slo is not None:
-        summary = obs.slo.summary_dict()
-        breaches = len(summary["breached_now"])
-        breach_events = sum(
-            1
-            for event in summary["breach_events"]
-            if event["to"] == "breach"
-        )
-    metrics = _metrics_template()
-    metrics.update(
-        blocks_delivered=delivered,
-        misses=final.total_misses,
-        rounds=final.rounds,
-        continuity_ratio=_ratio(
-            final.continuous_sessions, final.admitted
-        ),
-        reject_rate=_ratio(len(final.rejects), len(final.statuses)),
-        cache_hit_ratio=_ratio(hits, hits + cache_misses),
-        slo_breaches=breaches,
-        slo_breach_events=breach_events,
-    )
-    safe_wall = max(wall, 1e-9)
-    return CellResult(
-        cell_id=cell.cell_id,
-        kind=cell.kind,
-        golden=cell.golden,
-        spec=spec,
-        metrics=metrics,
-        perf={
-            "wall_time_s": wall,
-            "blocks_per_second": delivered / safe_wall,
-        },
-    )
-
-
-def _run_obs_overhead_cell(cell: MatrixCell) -> CellResult:
-    spec = cell.spec_dict()
-    result = run_obs_overhead_scenario(
-        streams=spec["streams"],
-        blocks_per_stream=spec["blocks_per_stream"],
-        repeats=spec["repeats"],
-        seed=spec["seed"],
-    )
-    metrics = _metrics_template()
-    metrics.update(
-        blocks_delivered=spec["streams"] * spec["blocks_per_stream"],
-    )
-    return CellResult(
-        cell_id=cell.cell_id,
-        kind=cell.kind,
-        golden=cell.golden,
-        spec=spec,
-        metrics=metrics,
-        perf={
-            "wall_time_s": result.wall_obs_s,
-            "blocks_per_second": _ratio(
-                spec["streams"] * spec["blocks_per_stream"],
-                result.wall_obs_s,
-            ) or 0.0,
-            "obs_overhead_ratio": result.ratio,
-        },
-    )
-
-
-def _run_cluster_cell(cell: MatrixCell) -> CellResult:
-    from repro.cluster import run_cluster_failover_scenario
-
-    spec = cell.spec_dict()
-    started = time.perf_counter()
-    run = run_cluster_failover_scenario(
-        nodes=spec["nodes"],
-        sessions=spec["sessions"],
-        titles=spec["titles"],
-        seconds=spec["seconds"],
-        per_node_streams=spec["per_node_streams"],
-        min_replicas=spec["min_replicas"],
-        chunks=spec["chunks"],
-        kill_node=spec["kill_node"],
-        kill_chunk=spec["kill_chunk"],
-        seed=spec["seed"],
-    )
-    wall = time.perf_counter() - started
-    result = run.result
-    delivered = sum(s.blocks_delivered for s in result.statuses)
-    hits = cache_misses = 0
-    for node in result.per_node:
-        for serve in node.results:
-            hits += serve.cache_stats.get("hits", 0)
-            cache_misses += serve.cache_stats.get("misses", 0)
-    breaches = breach_events = 0
-    obs = run.obs
-    if obs.slo is not None:
-        summary = obs.slo.summary_dict()
-        breaches = len(summary["breached_now"])
-        breach_events = sum(
-            1
-            for event in summary["breach_events"]
-            if event["to"] == "breach"
-        )
-    metrics = _metrics_template()
-    metrics.update(
-        blocks_delivered=delivered,
-        misses=result.total_misses,
-        rounds=sum(node.rounds for node in result.per_node),
-        continuity_ratio=_ratio(
-            result.continuous_sessions, result.admitted
-        ),
-        reject_rate=_ratio(len(result.rejects), len(result.statuses)),
-        cache_hit_ratio=_ratio(hits, hits + cache_misses),
-        slo_breaches=breaches,
-        slo_breach_events=breach_events,
-        handoffs=len(result.handoffs),
-        handoff_clean_ratio=_ratio(
-            result.handoffs_clean, len(result.handoffs)
-        ),
-    )
-    safe_wall = max(wall, 1e-9)
-    return CellResult(
-        cell_id=cell.cell_id,
-        kind=cell.kind,
-        golden=cell.golden,
-        spec=spec,
-        metrics=metrics,
-        perf={
-            "wall_time_s": wall,
-            "blocks_per_second": delivered / safe_wall,
-        },
-    )
-
-
 def run_cell(cell: MatrixCell) -> CellResult:
-    """Execute one matrix cell (module-level, so workers can pickle it)."""
-    if cell.kind == "scale":
-        return _run_scale_cell(cell)
-    if cell.kind == "server-hot":
-        return _run_server_cell(cell)
-    if cell.kind == "obs-overhead":
-        return _run_obs_overhead_cell(cell)
-    if cell.kind == "cluster-scale":
-        return _run_cluster_cell(cell)
-    raise ParameterError(f"unknown cell kind {cell.kind!r}")
+    """Execute one matrix cell (module-level, so workers can pickle it).
+
+    The cell's scenario runs under its own built-in observer (none for
+    ``scale``, so scale walls time the bare round loop).  A run that
+    times itself (``wall_time_s``: the scale loop without its set-up)
+    reports that wall; any other reports the whole run's.
+    """
+    entry = KINDS.get(cell.kind)
+    if entry is None:
+        raise ParameterError(f"unknown cell kind {cell.kind!r}")
+    spec = cell.spec_dict()
+    params = {key: value for key, value in spec.items() if key != "seed"}
+    started = time.perf_counter()
+    run = entry.run(spec["seed"], None, **params)
+    wall = getattr(run, "wall_time_s", time.perf_counter() - started)
+    metrics = entry.metrics(run)
+    if entry is OBS_OVERHEAD:
+        # A paired timing, not a scenario: its perf is the traced wall
+        # and the off/on ratio.
+        perf = {
+            "wall_time_s": run.wall_obs_s,
+            "blocks_per_second": ratio(
+                metrics["blocks_delivered"], run.wall_obs_s
+            ) or 0.0,
+            "obs_overhead_ratio": run.ratio,
+        }
+    else:
+        perf = {
+            "wall_time_s": wall,
+            "blocks_per_second": (
+                metrics["blocks_delivered"] / max(wall, 1e-9)
+            ),
+        }
+    return CellResult(
+        cell_id=cell.cell_id,
+        kind=cell.kind,
+        golden=cell.golden,
+        spec=spec,
+        metrics=metrics,
+        perf=perf,
+    )
 
 
 @dataclass(frozen=True)
@@ -401,17 +207,6 @@ def cell_from_scale_result(
     points as a matrix manifest alongside BENCH_PERF.json, so the bench
     trajectory and the experiment gate speak one schema.
     """
-    metrics = _metrics_template()
-    metrics.update(
-        blocks_delivered=result.blocks_delivered,
-        misses=result.misses,
-        rounds=result.rounds,
-        continuity_ratio=_ratio(
-            result.blocks_delivered - result.misses,
-            result.blocks_delivered,
-        ),
-        reject_rate=0.0,
-    )
     return CellResult(
         cell_id=result.name,
         kind="scale",
@@ -423,7 +218,7 @@ def cell_from_scale_result(
             "seed": result.seed,
             "streams": result.streams,
         },
-        metrics=metrics,
+        metrics=SCENARIOS["scale"].metrics(result),
         perf={
             "wall_time_s": result.wall_time_s,
             "blocks_per_second": result.blocks_per_second,
@@ -560,8 +355,3 @@ def validate_manifest(manifest: object) -> Dict[str, object]:
             if value != value:
                 fail(f"cell {cell_id} {key} is NaN")
     return manifest
-
-
-def default_workers() -> int:
-    """The worker default mirroring the perf sweep's choice."""
-    return os.cpu_count() or 1

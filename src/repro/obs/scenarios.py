@@ -16,19 +16,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.config import TESTBED_1991
-from repro.disk import build_drive
+from repro.analysis.experiments import default_msm
+from repro.config import DEFAULT_SEED, TESTBED_1991
 from repro.faults import FaultInjector, FaultPlan, RecoveryPolicy
-from repro.fs import MultimediaStorageManager
 from repro.media.frames import frames_for_duration
 from repro.obs.observer import Observability
 from repro.rope import Media, MultimediaRopeServer
 from repro.service import PlaybackSession
 
-__all__ = ["ScenarioRun", "run_steady_scenario", "run_fault_scenario"]
+__all__ = [
+    "ScenarioRun",
+    "run_steady_scenario",
+    "run_fault_scenario",
+    "slo_observability",
+]
 
-#: Seed shared with the chaos integration tests.
-DEFAULT_SEED = 20260806
+
+def slo_observability(seed: int = DEFAULT_SEED) -> Observability:
+    """Full-fidelity observability with the default SLOs attached."""
+    obs = Observability(seed=seed)
+    obs.enable_slos()
+    return obs
 
 
 @dataclass
@@ -42,20 +50,6 @@ class ScenarioRun:
     def snapshot(self, include_profile: bool = False) -> str:
         """The run's stable JSON snapshot (golden-file content)."""
         return self.obs.snapshot(include_profile=include_profile)
-
-
-def _build_server(obs: Observability) -> MultimediaRopeServer:
-    profile = TESTBED_1991
-    drive = build_drive()
-    msm = MultimediaStorageManager(
-        drive,
-        profile.video,
-        profile.audio,
-        profile.video_device,
-        profile.audio_device,
-        obs=obs,
-    )
-    return MultimediaRopeServer(msm)
 
 
 def _record_plays(
@@ -82,6 +76,7 @@ def run_steady_scenario(
     seconds: float = 4.0,
     requests: int = 2,
     k: int = 4,
+    seed: int = DEFAULT_SEED,
     obs: Optional[Observability] = None,
 ) -> ScenarioRun:
     """Steady state: *requests* healthy video playbacks, round-robin.
@@ -89,11 +84,12 @@ def run_steady_scenario(
     No faults, no admission rejections — the baseline whose snapshot
     shows what a continuity-clean run looks like (every session
     conserved, zero ``fault.*`` counters, slack comfortably positive).
+    The run itself draws nothing random; *seed* seeds the default
+    observer's trace ids.
     """
     if obs is None:
-        obs = Observability(seed=DEFAULT_SEED)
-        obs.enable_slos()
-    mrs = _build_server(obs)
+        obs = slo_observability(seed)
+    mrs = MultimediaRopeServer(default_msm(obs=obs))
     play_ids = _record_plays(mrs, requests, seconds, "steady")
     session = PlaybackSession(mrs)
     result = session.run(play_ids, k=k)
@@ -119,9 +115,8 @@ def run_fault_scenario(
     ``revalidate`` entry in the admission audit log.
     """
     if obs is None:
-        obs = Observability(seed=seed)
-        obs.enable_slos()
-    mrs = _build_server(obs)
+        obs = slo_observability(seed)
+    mrs = MultimediaRopeServer(default_msm(obs=obs))
     play_ids = _record_plays(mrs, 1, seconds, "faulted")
     slots = [
         fetch.slot

@@ -20,11 +20,9 @@ from repro.perf.cluster_scenarios import (
 from repro.perf.scenarios import (
     DRIVE_CONFIGS,
     ObsOverheadResult,
-    ProfiledScaleRun,
     ScaleResult,
     ScaleScenario,
     run_obs_overhead_scenario,
-    run_profiled_scale_scenario,
     run_scale_scenario,
 )
 from repro.perf.server_scenarios import (
@@ -37,13 +35,11 @@ __all__ = [
     "DRIVE_CONFIGS",
     "ClusterScaleResult",
     "ObsOverheadResult",
-    "ProfiledScaleRun",
     "ScaleScenario",
     "ScaleResult",
     "ServerCompareResult",
     "run_cluster_scale_bench",
     "run_obs_overhead_scenario",
-    "run_profiled_scale_scenario",
     "run_scale_scenario",
     "run_server_compare_scenario",
     "SweepReport",

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Mapping, Optional
 
+from repro.config import DEFAULT_SEED
 from repro.cluster import (
     run_cluster_failover_scenario,
     run_cluster_scale_scenario,
@@ -75,31 +76,23 @@ class ClusterScaleResult:
 
 
 def run_cluster_scale_bench(
-    nodes: int = 20,
-    sessions: int = 1000,
-    titles: int = 40,
-    seconds: float = 1.0,
-    per_node_streams: int = 75,
-    min_replicas: int = 2,
-    seed: int = 20260806,
-    failover_nodes: int = 4,
-    failover_sessions: int = 32,
+    scale: Optional[Mapping[str, object]] = None,
+    failover: Optional[Mapping[str, object]] = None,
+    seed: int = DEFAULT_SEED,
 ) -> ClusterScaleResult:
-    """Time the scale run, then the node-kill failover run.
+    """Time the ``cluster-scale`` run, then the ``cluster-failover`` run.
 
-    The two runs share a seed but use independent clusters, so the
-    failover numbers are not polluted by the scale run's cache state.
+    *scale* and *failover* override the registry defaults of each.  The
+    two runs share a seed but use independent clusters, so the failover
+    numbers are not polluted by the scale run's cache state.
     """
+    # Imported here: the registry imports repro.perf.
+    from repro.scenarios import SCENARIOS
+
+    params = SCENARIOS["cluster-scale"].resolve(scale)
+    failover_params = SCENARIOS["cluster-failover"].resolve(failover)
     started = time.perf_counter()
-    scale_run = run_cluster_scale_scenario(
-        nodes=nodes,
-        sessions=sessions,
-        titles=titles,
-        seconds=seconds,
-        per_node_streams=per_node_streams,
-        min_replicas=min_replicas,
-        seed=seed,
-    )
+    scale_run = run_cluster_scale_scenario(seed=seed, **params)
     scale_wall = time.perf_counter() - started
     result = scale_run.result
     scale = {
@@ -117,11 +110,7 @@ def run_cluster_scale_bench(
         ),
     }
     started = time.perf_counter()
-    failover_run = run_cluster_failover_scenario(
-        nodes=failover_nodes,
-        sessions=failover_sessions,
-        seed=seed,
-    )
+    failover_run = run_cluster_failover_scenario(seed=seed, **failover_params)
     failover_wall = time.perf_counter() - started
     fr = failover_run.result
     broken = sum(
@@ -129,8 +118,8 @@ def run_cluster_scale_bench(
         if record.to_node is None or not record.clean
     )
     failover = {
-        "nodes": failover_nodes,
-        "sessions": failover_sessions,
+        "nodes": failover_params["nodes"],
+        "sessions": failover_params["sessions"],
         "affected": len(fr.handoffs),
         "clean": fr.handoffs_clean,
         "continuity_breaks": broken,
@@ -139,15 +128,7 @@ def run_cluster_scale_bench(
         "wall_time_s": failover_wall,
     }
     return ClusterScaleResult(
-        params={
-            "nodes": nodes,
-            "sessions": sessions,
-            "titles": titles,
-            "seconds": seconds,
-            "per_node_streams": per_node_streams,
-            "min_replicas": min_replicas,
-            "seed": seed,
-        },
+        params={**params, "seed": seed},
         scale=scale,
         bounds=scale_run.bounds.to_dict(),
         failover=failover,

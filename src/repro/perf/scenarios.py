@@ -30,13 +30,11 @@ from repro.service.rounds import Admission, RoundRobinService, StreamState
 __all__ = [
     "DRIVE_CONFIGS",
     "ObsOverheadResult",
-    "ProfiledScaleRun",
     "ScaleScenario",
     "ScaleResult",
     "build_drive_config",
     "build_streams",
     "run_obs_overhead_scenario",
-    "run_profiled_scale_scenario",
     "run_scale_scenario",
 ]
 
@@ -116,8 +114,8 @@ class ScaleScenario:
     """
 
     name: str
-    streams: int
-    blocks_per_stream: int
+    streams: int = 1000
+    blocks_per_stream: int = 1000
     k: int = 4
     buffer_capacity: int = 8
     seed: int = 0
@@ -323,109 +321,26 @@ def run_obs_overhead_scenario(
     )
 
 
-@dataclass
-class ProfiledScaleRun:
-    """A scale scenario run under the cost-attribution profiler.
-
-    ``section`` is the deterministic artifact: scenario parameters plus
-    the profiler's :meth:`~repro.obs.CostProfiler.summary_dict` — all
-    modeled time and op counts, never wall clock, so its sorted JSON is
-    byte-identical across runs at the same seed.  ``wall_time_s`` is
-    carried separately for throughput reporting and deliberately kept
-    out of ``section``.
-    """
-
-    scenario: ScaleScenario
-    obs: object  #: the :class:`~repro.obs.Observability` used for the run
-    wall_time_s: float
-    rounds: int
-    blocks_delivered: int
-    misses: int
-
-    @property
-    def section(self) -> Dict[str, object]:
-        """The BENCH_PERF.json ``profile`` section for this run."""
-        summary = self.obs.profiler.summary_dict()
-        return {
-            "params": {
-                "streams": self.scenario.streams,
-                "blocks_per_stream": self.scenario.blocks_per_stream,
-                "k": self.scenario.k,
-                "buffer_capacity": self.scenario.buffer_capacity,
-                "seed": self.scenario.seed,
-                "drive": self.scenario.drive,
-                "arrivals": self.scenario.arrivals,
-            },
-            "rounds": self.rounds,
-            "blocks_delivered": self.blocks_delivered,
-            "misses": self.misses,
-            **summary,
-        }
-
-
-def run_profiled_scale_scenario(
-    streams: int = 1000,
-    blocks_per_stream: int = 1000,
-    k: int = 4,
-    buffer_capacity: int = 8,
-    seed: int = 0,
-    drive: str = "testbed",
-    arrivals: str = "uniform",
-    name: str = "profiled-scale",
-) -> ProfiledScaleRun:
-    """Run one scale point with per-phase cost attribution on.
-
-    Uses :meth:`Observability.for_profiling` — metrics + profiler, span
-    tracer and timeline off — so the attribution sees every access while
-    perturbing the loop as little as possible.  The drive's
-    ``profile_label`` is set to the drive-config name, so per-drive
-    rollups read ``testbed``/``fast``/``table`` instead of the generic
-    default.
-    """
-    from repro.obs.observer import Observability
-
-    scenario = ScaleScenario(
-        name=name,
-        streams=streams,
-        blocks_per_stream=blocks_per_stream,
-        k=k,
-        buffer_capacity=buffer_capacity,
-        seed=seed,
-        drive=drive,
-        arrivals=arrivals,
-    )
-    mechanism = build_drive_config(scenario.drive)
-    mechanism.profile_label = scenario.drive
-    obs = Observability.for_profiling(seed=seed)
-    mechanism.attach_observer(obs)
-    initial, admissions = build_streams(scenario, mechanism)
-    service = RoundRobinService(
-        mechanism, lambda _round, _n: scenario.k, obs=obs
-    )
-    start = _time.perf_counter()
-    metrics = service.run(initial, admissions, max_rounds=10_000_000)
-    wall = _time.perf_counter() - start
-    return ProfiledScaleRun(
-        scenario=scenario,
-        obs=obs,
-        wall_time_s=wall,
-        rounds=service.rounds_run,
-        blocks_delivered=sum(
-            m.blocks_delivered for m in metrics.values()
-        ),
-        misses=sum(m.misses for m in metrics.values()),
-    )
-
-
-def run_scale_scenario(scenario: ScaleScenario) -> ScaleResult:
+def run_scale_scenario(
+    scenario: ScaleScenario, obs=None
+) -> ScaleResult:
     """Run one scenario to completion and score simulator throughput.
 
     Module-level (picklable) so :func:`repro.perf.sweep.run_sweep` can
-    dispatch it to worker processes.
+    dispatch it to worker processes.  With *obs* (an
+    :class:`~repro.obs.Observability`) the drive and the round loop
+    report to it, and the drive's ``profile_label`` is the drive-config
+    name, so per-drive profiler rollups read ``testbed``/``fast``/
+    ``table``.  ``wall_time_s`` times the round loop only.
     """
     drive = build_drive_config(scenario.drive)
+    if obs is not None:
+        drive.profile_label = scenario.drive
+        drive.attach_observer(obs)
     initial, admissions = build_streams(scenario, drive)
-    service = RoundRobinService(drive, lambda _round, _n: scenario.k)
+    service = RoundRobinService(
+        drive, lambda _round, _n: scenario.k, obs=obs
+    )
     start = _time.perf_counter()
     metrics = service.run(
         initial, admissions, max_rounds=10_000_000

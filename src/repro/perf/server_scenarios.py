@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict
 
+from repro.config import DEFAULT_SEED
 from repro.server import run_serve_compare
 
 __all__ = ["ServerCompareResult", "run_server_compare_scenario"]
@@ -61,15 +62,23 @@ class ServerCompareResult:
 
 
 def run_server_compare_scenario(
-    sessions: int = 50,
-    strands: int = 5,
-    seconds: float = 2.0,
-    seed: int = 20260806,
+    seed: int = DEFAULT_SEED, **overrides
 ) -> ServerCompareResult:
-    """Time one full comparison (both servers, both hot waves)."""
+    """Time one full comparison (both servers, both hot waves).
+
+    *overrides* replace the ``server-hot`` registry defaults of
+    ``sessions``, ``strands`` and ``seconds``.
+    """
+    # Imported here: the registry imports repro.perf.
+    from repro.scenarios import SCENARIOS
+
+    params = SCENARIOS["server-hot"].resolve(overrides)
     started = time.perf_counter()
     compare = run_serve_compare(
-        sessions=sessions, strands=strands, seconds=seconds, seed=seed
+        sessions=params["sessions"],
+        strands=params["strands"],
+        seconds=params["seconds"],
+        seed=seed,
     )
     return ServerCompareResult(
         compare=compare, wall_time_s=time.perf_counter() - started

@@ -21,13 +21,14 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.analysis.experiments import default_msm
 from repro.api import OpenSessionRequest, ServeResult
-from repro.config import TESTBED_1991
-from repro.disk import build_drive
+from repro.config import DEFAULT_SEED, TESTBED_1991
+from repro.disk.drive import SimulatedDrive
 from repro.faults import FaultInjector, FaultPlan, RecoveryPolicy
-from repro.fs import MultimediaStorageManager
 from repro.media.frames import frames_for_duration
 from repro.obs.observer import Observability
+from repro.obs.scenarios import slo_observability
 from repro.rope import Media, MultimediaRopeServer
 from repro.server.media_server import MediaServer
 
@@ -39,9 +40,6 @@ __all__ = [
     "run_server_fault_scenario",
     "run_serve_compare",
 ]
-
-#: Seed shared with the obs scenarios and chaos tests.
-DEFAULT_SEED = 20260806
 
 
 @dataclass
@@ -91,20 +89,14 @@ def build_media_server(
     batch_window: float = 0.25,
     requeue_limit: int = 0,
     recovery: Optional[RecoveryPolicy] = None,
+    drive: Optional[SimulatedDrive] = None,
 ) -> MediaServer:
-    """A MediaServer over a fresh testbed drive and storage manager."""
-    profile = TESTBED_1991
-    drive = build_drive()
-    msm = MultimediaStorageManager(
-        drive,
-        profile.video,
-        profile.audio,
-        profile.video_device,
-        profile.audio_device,
-        obs=obs,
-    )
+    """A MediaServer over a testbed storage manager.
+
+    *drive* defaults to a fresh testbed drive.
+    """
     return MediaServer(
-        MultimediaRopeServer(msm),
+        MultimediaRopeServer(default_msm(drive=drive, obs=obs)),
         batch_window=batch_window,
         cache_blocks=cache_blocks,
         requeue_limit=requeue_limit,
@@ -142,16 +134,18 @@ def _hot_requests(
 def run_server_steady_scenario(
     seconds: float = 3.0,
     clients: int = 2,
+    seed: int = DEFAULT_SEED,
     obs: Optional[Observability] = None,
 ) -> ServerScenarioRun:
     """Steady state: each client plays its own rope, no sharing.
 
     Every open is a batch of one and holds a real admission slot — the
     baseline snapshot a continuity-clean multi-tenant epoch produces.
+    The run itself draws nothing random; *seed* seeds the default
+    observer's trace ids.
     """
     if obs is None:
-        obs = Observability(seed=DEFAULT_SEED)
-        obs.enable_slos()
+        obs = slo_observability(seed)
     server = build_media_server(obs)
     client_ids = [f"client-{i}" for i in range(clients)]
     rope_ids = _record_strands(
@@ -240,8 +234,7 @@ def run_server_fault_scenario(
     counters, and the audit trail together.
     """
     if obs is None:
-        obs = Observability(seed=seed)
-        obs.enable_slos()
+        obs = slo_observability(seed)
     server = build_media_server(
         obs, recovery=RecoveryPolicy(retry_budget=retry_budget)
     )
@@ -278,9 +271,9 @@ def run_server_fault_scenario(
 
 
 def run_serve_compare(
-    sessions: int = 50,
-    strands: int = 5,
-    seconds: float = 2.0,
+    sessions: int,
+    strands: int,
+    seconds: float,
     seed: int = DEFAULT_SEED,
 ) -> Dict:
     """Batched+cached vs per-request admission on the same disk.

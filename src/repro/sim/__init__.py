@@ -1,13 +1,14 @@
-"""Discrete-event simulation substrate: engine, metrics, tracing."""
+"""Simulation measurement substrate: continuity metrics and event traces.
 
-from repro.sim.engine import Engine, Signal
+Simulated time is advanced by the service loops themselves
+(:mod:`repro.service`); this package scores what they deliver.
+"""
+
 from repro.sim.metrics import ContinuityMetrics, SweepSeries
 from repro.sim.trace import TraceEvent, Tracer
 
 __all__ = [
     "ContinuityMetrics",
-    "Engine",
-    "Signal",
     "SweepSeries",
     "TraceEvent",
     "Tracer",

@@ -3,11 +3,10 @@
 import pytest
 
 from repro.api import SessionState
-from repro.cluster import (
-    run_cluster_failover_scenario,
-    run_cluster_smoke_scenario,
-)
+from repro.cluster import run_cluster_failover_scenario
+from repro.config import DEFAULT_SEED
 from repro.faults import FaultKind, FaultPlan, FaultSpec
+from repro.scenarios import SCENARIOS
 
 pytestmark = pytest.mark.cluster
 
@@ -100,7 +99,8 @@ class TestStrandedSessions:
 
 class TestSmokeScenario:
     def test_smoke_gate_facts(self):
-        run = run_cluster_smoke_scenario()
+        failover = SCENARIOS["cluster-failover"]
+        run = failover.run(DEFAULT_SEED, **failover.smoke)
         result = run.result
         assert result.admitted == 12
         assert result.continuous_sessions == 12

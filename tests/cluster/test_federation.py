@@ -23,26 +23,31 @@ import pytest
 
 from repro.cluster import (
     cluster_observability,
-    run_cluster_smoke_scenario,
+    run_cluster_failover_scenario,
 )
+from repro.scenarios import SCENARIOS
 
 pytestmark = [pytest.mark.cluster, pytest.mark.profile]
 
 SEED = 20260806
 
 
+def _smoke_run(**options):
+    obs = cluster_observability(SEED, profile=True)
+    return run_cluster_failover_scenario(
+        seed=SEED, obs=obs,
+        **SCENARIOS["cluster-failover"].resolve(smoke=True), **options
+    )
+
+
 @pytest.fixture(scope="module")
 def scoped_run():
-    obs = cluster_observability(SEED, profile=True)
-    return run_cluster_smoke_scenario(seed=SEED, obs=obs)
+    return _smoke_run()
 
 
 @pytest.fixture(scope="module")
 def flat_run():
-    obs = cluster_observability(SEED, profile=True)
-    return run_cluster_smoke_scenario(
-        seed=SEED, obs=obs, scope_nodes=False
-    )
+    return _smoke_run(scope_nodes=False)
 
 
 class TestFlatEquivalence:

@@ -161,13 +161,13 @@ class TestExpansion:
         kinds = [c.kind for c in cells]
         assert kinds == [
             "scale", "server-hot", "server-hot", "obs-overhead",
-            "cluster-scale",
+            "cluster-failover",
         ]
         assert sum(1 for c in cells if c.golden) == 2
 
     def test_cluster_consumes_seeds_only(self):
         config = ExperimentConfig.from_dict(_minimal(
-            workloads=[{"kind": "cluster-scale", "nodes": 3,
+            workloads=[{"kind": "cluster-failover", "nodes": 3,
                         "sessions": 8, "titles": 4}],
             axes={
                 "drives": ["testbed", "fast"],

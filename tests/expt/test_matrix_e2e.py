@@ -63,10 +63,10 @@ def test_golden_cells_present_and_breach_free(manifest):
         if record["golden"]
     }
     # One acceptance cell each: server hot-strand and cluster failover.
-    assert set(golden) == {"server-hot", "cluster-scale"}
+    assert set(golden) == {"server-hot", "cluster-failover"}
     for record in golden.values():
         assert record["metrics"]["slo_breaches"] == 0
-    cluster = golden["cluster-scale"]["metrics"]
+    cluster = golden["cluster-failover"]["metrics"]
     assert cluster["handoffs"] >= 1
     assert cluster["handoff_clean_ratio"] >= 0.9
 

@@ -15,9 +15,10 @@ from repro.expt import (
     validate_manifest,
     write_results,
 )
-from repro.expt.runner import METRIC_KEYS, PERF_KEYS, _ratio
+from repro.expt.runner import METRIC_KEYS, PERF_KEYS
 from repro.perf import run_scale_scenario
 from repro.perf.scenarios import ScaleScenario
+from repro.scenarios import ratio as _ratio
 
 
 @pytest.fixture(scope="module")

@@ -155,25 +155,31 @@ class TestCostProfiler:
         assert summary["checkpoints"] == 0
 
 
+def _profiled_scale(seed, **overrides):
+    """Run the registry's scale entry under the profiler."""
+    from repro.scenarios import SCENARIOS
+
+    scale = SCENARIOS["scale"]
+    params = scale.resolve(overrides)
+    obs = Observability.for_profiling(seed=seed)
+    run = scale.run(seed, obs, **params)
+    return run, scale.profile_section(seed, params, run, obs)
+
+
 class TestProfiledScenarios:
     def test_profiled_scale_section_is_byte_stable(self):
-        from repro.perf import run_profiled_scale_scenario
-
         def section_json():
-            run = run_profiled_scale_scenario(
-                streams=5, blocks_per_stream=20, seed=11
+            _, section = _profiled_scale(
+                11, streams=5, blocks_per_stream=20
             )
-            return json.dumps(run.section, sort_keys=True, indent=2)
+            return json.dumps(section, sort_keys=True, indent=2)
 
         assert section_json() == section_json()
 
     def test_profiled_scale_attribution_is_complete(self):
-        from repro.perf import run_profiled_scale_scenario
-
-        run = run_profiled_scale_scenario(
-            streams=5, blocks_per_stream=20, seed=11, drive="testbed"
+        run, section = _profiled_scale(
+            11, streams=5, blocks_per_stream=20, drive="testbed"
         )
-        section = run.section
         assert set(section["phases"]) == set(PHASES)
         share_sum = sum(
             phase["share"] for phase in section["phases"].values()

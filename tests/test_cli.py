@@ -196,14 +196,14 @@ class TestParser:
     def test_profile_flags_present(self):
         options = self._subcommand_options("profile")
         for flag in (
-            "--preset", "--streams", "--blocks", "--top", "--smoke",
+            "--scenario", "--streams", "--blocks", "--top", "--smoke",
             "--trace-out",
         ):
             assert flag in options, flag
 
     def test_obs_report_gained_cluster_and_top(self):
         options = self._subcommand_options("obs-report")
-        assert "--cluster" in options
+        assert "--scenario" in options
         assert "--top" in options
 
     def test_cluster_failover_flags_present(self):
@@ -273,7 +273,7 @@ class TestProfile:
 
     def test_steady_preset_prints_cost_centers(self, capsys):
         assert main([
-            "profile", "--preset", "steady", "--top", "3",
+            "profile", "--scenario", "steady", "--top", "3",
         ]) == 0
         out = capsys.readouterr().out
         assert "cost centers" in out
@@ -296,7 +296,7 @@ class TestProfile:
         )
 
     def test_obs_report_cluster_preset(self, capsys):
-        assert main(["obs-report", "--cluster"]) == 0
+        assert main(["obs-report", "--scenario", "cluster-failover"]) == 0
         out = capsys.readouterr().out
         assert "cluster.handoffs_total" in out
 
