@@ -272,8 +272,28 @@ class CachedDrive:
 
     # -- cached accesses -------------------------------------------------------
 
-    def read_slot(self, slot: int, bits: Optional[float] = None) -> float:
-        """Read through the cache; returns elapsed simulated seconds."""
+    def read_slot(
+        self,
+        slot: int,
+        bits: Optional[float] = None,
+        now: float = 0.0,
+        tracer=None,
+        parent=None,
+    ) -> float:
+        """Read through the cache; returns elapsed simulated seconds.
+
+        With a span *tracer* the read runs under a ``cache.read`` span
+        opened at *now* under *parent*: a hit closes it with status
+        ``hit`` after ``hit_time`` seconds; a miss delegates to the inner
+        drive's traced read (so its ``disk.access`` span nests under this
+        one) and closes with status ``miss``, or ``defect`` / the fault's
+        type name when the access fails.
+        """
+        span = None
+        if tracer is not None:
+            span = tracer.start_span(
+                "cache.read", now, parent=parent, attrs={"slot": slot}
+            )
         profiler = self._obs_profiler
         if self.cache.lookup(slot):
             if self._obs_hits is not None:
@@ -283,6 +303,8 @@ class CachedDrive:
                     "cache_lookup", cost=self.hit_time,
                     drive=self.inner.profile_label,
                 )
+            if span is not None:
+                tracer.end_span(span, now + self.hit_time, status="hit")
             return self.hit_time
         if self._obs_misses is not None:
             self._obs_misses.inc()
@@ -291,11 +313,25 @@ class CachedDrive:
                 "cache_lookup", drive=self.inner.profile_label
             )
         try:
-            duration = self.inner.read_slot(slot, bits)
-        except MediaDefectError:
-            # The media is bad: any stale residency for the slot must go
-            # (data cached before the defect surfaced may predate it).
-            self.cache.invalidate(slot)
+            if tracer is None:
+                duration = self.inner.read_slot(slot, bits)
+            else:
+                duration = self.inner.traced_read(
+                    slot, bits, now, tracer,
+                    span if span is not None else parent,
+                )
+        except Exception as fault:
+            defect = isinstance(fault, MediaDefectError)
+            if defect:
+                # The media is bad: any stale residency for the slot
+                # must go (data cached before the defect surfaced may
+                # predate it).
+                self.cache.invalidate(slot)
+            if span is not None:
+                tracer.end_span(
+                    span, now + getattr(fault, "elapsed", 0.0),
+                    status="defect" if defect else type(fault).__name__,
+                )
             raise
         evictions_before = self.cache.stats.evictions
         self.cache.insert(slot)
@@ -303,64 +339,15 @@ class CachedDrive:
             delta = self.cache.stats.evictions - evictions_before
             if delta:
                 self._obs_evictions.inc(delta)
+        if span is not None:
+            tracer.end_span(span, now + duration, status="miss")
         return duration
 
     def traced_read(
         self, slot: int, bits: Optional[float], now: float, tracer, parent
     ) -> float:
-        """Read through the cache under a ``cache.read`` span.
-
-        A hit closes the span with status ``hit`` after ``hit_time``
-        seconds; a miss delegates to the inner drive's traced read (so
-        its ``disk.access`` span nests under this one) and closes with
-        status ``miss``.  Hit/miss accounting, insertion, and fault
-        semantics are identical to :meth:`read_slot`.
-        """
-        span = tracer.start_span(
-            "cache.read", now, parent=parent, attrs={"slot": slot}
-        )
-        profiler = self._obs_profiler
-        if self.cache.lookup(slot):
-            if self._obs_hits is not None:
-                self._obs_hits.inc()
-            if profiler is not None:
-                profiler.record(
-                    "cache_lookup", cost=self.hit_time,
-                    drive=self.inner.profile_label,
-                )
-            tracer.end_span(span, now + self.hit_time, status="hit")
-            return self.hit_time
-        if self._obs_misses is not None:
-            self._obs_misses.inc()
-        if profiler is not None:
-            profiler.record(
-                "cache_lookup", drive=self.inner.profile_label
-            )
-        try:
-            duration = self.inner.traced_read(
-                slot, bits, now, tracer,
-                span if span is not None else parent,
-            )
-        except MediaDefectError as fault:
-            self.cache.invalidate(slot)
-            tracer.end_span(
-                span, now + getattr(fault, "elapsed", 0.0), status="defect"
-            )
-            raise
-        except Exception as fault:
-            tracer.end_span(
-                span, now + getattr(fault, "elapsed", 0.0),
-                status=type(fault).__name__,
-            )
-            raise
-        evictions_before = self.cache.stats.evictions
-        self.cache.insert(slot)
-        if self._obs_evictions is not None:
-            delta = self.cache.stats.evictions - evictions_before
-            if delta:
-                self._obs_evictions.inc(delta)
-        tracer.end_span(span, now + duration, status="miss")
-        return duration
+        """:meth:`read_slot` under a ``cache.read`` span."""
+        return self.read_slot(slot, bits, now, tracer, parent)
 
     def write_slot(self, slot: int, bits: Optional[float] = None) -> float:
         """Write through to the mechanism, invalidating residency."""

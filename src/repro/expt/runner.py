@@ -21,6 +21,7 @@ tests pin only the metrics.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -105,6 +106,10 @@ def run_cell(cell: MatrixCell) -> CellResult:
         raise ParameterError(f"unknown cell kind {cell.kind!r}")
     spec = cell.spec_dict()
     params = {key: value for key, value in spec.items() if key != "seed"}
+    # A smoke cell runs for milliseconds, so one collection of garbage
+    # left by earlier work in this process can dominate its wall; start
+    # the timer on a clean heap.
+    gc.collect()
     started = time.perf_counter()
     run = entry.run(spec["seed"], None, **params)
     wall = getattr(run, "wall_time_s", time.perf_counter() - started)

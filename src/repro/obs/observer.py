@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from typing import Dict, Optional, Union
 
+from repro.errors import ParameterError
 from repro.obs.audit import AdmissionAuditLog
 from repro.obs.profiling import (
     CostProfiler,
@@ -46,30 +47,44 @@ class Observability:
     seed:
         Folded into the span tracer's deterministic trace ids; pass the
         scenario seed so distinct seeds get distinct id spaces.
-    timeline_keep_first / timeline_every_kth / timeline_summary_sessions:
-        Forwarded to :class:`SessionTimeline` (per-block sampling and
-        the summary cap for large scenarios).
+    block_keep_first / block_every_kth:
+        The one per-block sample the service loop consults (see
+        :meth:`samples_block`): block indexes below ``block_keep_first``
+        always record, then every ``block_every_kth``-th.  A sampled
+        block records its timeline stages, its ``service.block`` span
+        and its deadline slack; the rest record none of them.  Both None
+        (the default) samples every block.
+    timeline_summary_sessions:
+        Forwarded to :class:`SessionTimeline` (the summary cap for large
+        scenarios).
     tracer:
-        A pre-built :class:`SpanTracer` (e.g. with block sampling or a
-        strict limit); by default a full-fidelity tracer is created.
+        A pre-built :class:`SpanTracer` (e.g. with a strict limit); by
+        default a full-fidelity tracer is created.
     """
 
     def __init__(
         self,
         enabled: bool = True,
         seed: int = 0,
-        timeline_keep_first: Optional[int] = None,
-        timeline_every_kth: Optional[int] = None,
+        block_keep_first: Optional[int] = None,
+        block_every_kth: Optional[int] = None,
         timeline_summary_sessions: Optional[int] = None,
         tracer: Optional[SpanTracer] = None,
     ):
+        if block_keep_first is not None and block_keep_first < 0:
+            raise ParameterError(
+                f"block_keep_first must be >= 0, got {block_keep_first}"
+            )
+        if block_every_kth is not None and block_every_kth < 1:
+            raise ParameterError(
+                f"block_every_kth must be >= 1, got {block_every_kth}"
+            )
         self.enabled = enabled
+        self.block_keep_first = block_keep_first
+        self.block_every_kth = block_every_kth
         self.registry = MetricsRegistry(enabled)
         self.timeline = SessionTimeline(
-            enabled,
-            keep_first=timeline_keep_first,
-            every_kth=timeline_every_kth,
-            summary_sessions=timeline_summary_sessions,
+            enabled, summary_sessions=timeline_summary_sessions
         )
         self.audit = AdmissionAuditLog(enabled)
         self.tracer = (
@@ -85,20 +100,19 @@ class Observability:
     def for_scale(cls, seed: int = 0) -> "Observability":
         """A sampled/capped configuration for large scenarios.
 
-        Keeps the first blocks of every session at full per-block
-        fidelity, then samples every 64th block, and caps the timeline
-        summary — bounding both golden-snapshot size and the tracing
-        overhead on 100k-block runs, while metrics/SLO rollups still see
-        every block.
+        Samples the first 4 blocks of every session, then every 64th,
+        and caps the timeline summary — bounding both golden-snapshot
+        size and the tracing overhead on 100k-block runs.  Timeline
+        stages, ``service.block`` spans and the deadline-slack histogram
+        (behind the ``slack-p95``/``slack-p99`` SLOs) all see that one
+        sample, not every block; counters such as delivered blocks,
+        skips and misses still count every block.
         """
         obs = cls(
             seed=seed,
-            timeline_keep_first=8,
-            timeline_every_kth=64,
+            block_keep_first=4,
+            block_every_kth=64,
             timeline_summary_sessions=8,
-            tracer=SpanTracer(
-                seed=seed, block_keep_first=4, block_every_kth=64
-            ),
         )
         obs.enable_slos()
         return obs
@@ -117,6 +131,18 @@ class Observability:
         obs.audit = AdmissionAuditLog(False)
         obs.enable_profiler()
         return obs
+
+    def samples_block(self, block_index: int) -> bool:
+        """Whether the service loop records block *block_index*.
+
+        The loop inlines this predicate on its hot path; this method is
+        the reference definition the tests pin.
+        """
+        keep = self.block_keep_first
+        if keep is None or block_index < keep:
+            return True
+        every = self.block_every_kth
+        return every is not None and block_index % every == 0
 
     def enable_slos(self, slos=None) -> SloMonitor:
         """Attach an :class:`SloMonitor` (idempotent; default objectives

@@ -573,6 +573,8 @@ class ScopedObservability:
         self.timeline = parent.timeline
         self.audit = parent.audit
         self.tracer = parent.tracer
+        self.block_keep_first = parent.block_keep_first
+        self.block_every_kth = parent.block_every_kth
 
     @property
     def slo(self):

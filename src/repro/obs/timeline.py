@@ -71,13 +71,11 @@ class SessionTimeline:
     ----------
     enabled:
         When False, :meth:`record` is a no-op (the null-observer
-        pattern; see :mod:`repro.obs.registry`).
-    keep_first / every_kth:
-        Per-block sampling for large scenarios: blocks with index below
-        ``keep_first`` always record, then every ``every_kth``-th block.
-        The gate is purely index-based, so a sampled block keeps *all*
-        of its lifecycle stages and the conservation law still holds on
-        the sample.  Both None (the default) records every block.
+        pattern; see :mod:`repro.obs.registry`).  Which blocks are
+        recorded is the caller's choice: the service loop records only
+        the :class:`~repro.obs.Observability` block sample, and keeps
+        *all* lifecycle stages of a sampled block, so the conservation
+        law still holds on the sample.
     summary_sessions:
         Cap on fully-listed sessions in :meth:`summary_dict`; sessions
         beyond the cap collapse into one ``"~aggregate"`` entry (``~``
@@ -87,41 +85,17 @@ class SessionTimeline:
     def __init__(
         self,
         enabled: bool = True,
-        keep_first: Optional[int] = None,
-        every_kth: Optional[int] = None,
         summary_sessions: Optional[int] = None,
     ):
-        if keep_first is not None and keep_first < 0:
-            raise ParameterError(
-                f"keep_first must be >= 0, got {keep_first}"
-            )
-        if every_kth is not None and every_kth < 1:
-            raise ParameterError(
-                f"every_kth must be >= 1, got {every_kth}"
-            )
         if summary_sessions is not None and summary_sessions < 1:
             raise ParameterError(
                 f"summary_sessions must be >= 1, got {summary_sessions}"
             )
         self.enabled = enabled
-        self.keep_first = keep_first
-        self.every_kth = every_kth
         self.summary_sessions = summary_sessions
         self._events: List[TimelineEvent] = []
 
     # -- recording ---------------------------------------------------------------
-
-    def samples(self, block_index: int) -> bool:
-        """Whether events for *block_index* are recorded.
-
-        The service loop inlines this predicate on its hot path; this
-        method is the reference definition the tests pin.
-        """
-        keep = self.keep_first
-        if keep is None or block_index < keep:
-            return True
-        every = self.every_kth
-        return every is not None and block_index % every == 0
 
     def record(
         self,
@@ -130,14 +104,9 @@ class SessionTimeline:
         block_index: int,
         stage: BlockStage,
     ) -> None:
-        """Append one lifecycle event (no-op when disabled/sampled out)."""
+        """Append one lifecycle event (no-op when disabled)."""
         if not self.enabled:
             return
-        keep = self.keep_first
-        if keep is not None and block_index >= keep:
-            every = self.every_kth
-            if every is None or block_index % every:
-                return
         self._events.append(
             TimelineEvent(time, session_id, block_index, stage)
         )

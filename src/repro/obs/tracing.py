@@ -131,11 +131,6 @@ class SpanTracer:
     strict:
         When True, exceeding *limit* raises :class:`SimulationError`
         instead of dropping.
-    block_keep_first / block_every_kth:
-        Per-block sampling the service loop consults (see
-        :meth:`samples_block`): block indexes below ``block_keep_first``
-        are always traced, then every ``block_every_kth``-th.  Both None
-        (the default) traces every block.
     """
 
     def __init__(
@@ -144,25 +139,13 @@ class SpanTracer:
         seed: int = 0,
         limit: int = 100_000,
         strict: bool = False,
-        block_keep_first: Optional[int] = None,
-        block_every_kth: Optional[int] = None,
     ):
         if limit < 1:
             raise ParameterError(f"limit must be >= 1, got {limit}")
-        if block_keep_first is not None and block_keep_first < 0:
-            raise ParameterError(
-                f"block_keep_first must be >= 0, got {block_keep_first}"
-            )
-        if block_every_kth is not None and block_every_kth < 1:
-            raise ParameterError(
-                f"block_every_kth must be >= 1, got {block_every_kth}"
-            )
         self.enabled = enabled
         self.seed = seed
         self.limit = limit
         self.strict = strict
-        self.block_keep_first = block_keep_first
-        self.block_every_kth = block_every_kth
         self.dropped = 0
         self._spans: List[Span] = []
         self._by_id: Dict[str, Span] = {}
@@ -273,20 +256,6 @@ class SpanTracer:
     def context_for(self, key: str) -> Optional[Span]:
         """The span bound to *key*, or None."""
         return self._bindings.get(key)
-
-    # -- sampling ---------------------------------------------------------------
-
-    def samples_block(self, block_index: int) -> bool:
-        """Whether per-block spans are recorded for *block_index*.
-
-        The service loop inlines this predicate on its hot path; the
-        method is the reference definition the tests pin.
-        """
-        keep = self.block_keep_first
-        if keep is None or block_index < keep:
-            return True
-        every = self.block_every_kth
-        return every is not None and block_index % every == 0
 
     # -- queries ----------------------------------------------------------------
 

@@ -72,6 +72,35 @@ def consumed_prefix(
     return count, elapsed
 
 
+def _sampled_indexes(
+    keep: Optional[int], every: Optional[int], total: int
+) -> Sequence[int]:
+    """Block indexes of a *total*-block stream the sample keeps, in order.
+
+    The first *keep* indexes, then every *every*-th past them; every
+    index when *keep* is None.
+    """
+    if keep is None:
+        return range(total)
+    indexes = list(range(min(keep, total)))
+    if every is not None:
+        indexes.extend(range(keep + (-keep % every), total, every))
+    return indexes
+
+
+def _play(elapsed: float, deliveries: Sequence[Tuple[float, float, float]]):
+    """The playback clock after *deliveries* play in turn from *elapsed*.
+
+    Each block starts when its data is ready and the previous block has
+    finished (the cascade :func:`consumed_prefix` folds).
+    """
+    for ready, _deadline, duration in deliveries:
+        if ready > elapsed:
+            elapsed = ready
+        elapsed += duration
+    return elapsed
+
+
 @dataclass
 class StreamState:
     """One request's progress through its fetch plan.
@@ -203,10 +232,13 @@ class RoundRobinService:
         the drive's head dies mid-service (admission revalidation hook).
     obs:
         Optional :class:`~repro.obs.Observability` handle.  When given,
-        the loop records per-block lifecycle events into the session
-        timeline and feeds the round-utilization / queue-depth /
-        deadline-slack histograms; when None (the default) every hook is
-        a single ``is None`` test.
+        the loop feeds the round-utilization / queue-depth histograms
+        and the delivered/skipped/miss counters for every block.  Per
+        block it tests the handle's one block sample
+        (``block_keep_first`` / ``block_every_kth``) once; a sampled
+        block records its session-timeline stages, its ``service.block``
+        span and, at the end of the run, its deadline slack.  When None
+        (the default) every hook is a single ``is None`` test.
     """
 
     def __init__(
@@ -230,11 +262,13 @@ class RoundRobinService:
         # these locals-of-self instead of chasing obs attributes, and a
         # disabled surface is a plain None test.
         self._tl = None
-        self._tl_keep: Optional[int] = None
-        self._tl_every: Optional[int] = None
         self._sp = None
-        self._sp_keep: Optional[int] = None
-        self._sp_every: Optional[int] = None
+        #: The block sample as the per-block test reads it: index < keep,
+        #: or index a multiple of a nonzero every.  (0, 0) samples nothing
+        #: — no per-block surface records — and keep is infinite when the
+        #: sample is every block.
+        self._keep: float = 0
+        self._every = 0
         self._slo = None
         self._prof = None
         self._stream_spans: Dict[str, object] = {}
@@ -255,43 +289,18 @@ class RoundRobinService:
             )
             self._obs_skipped = registry.counter("session.blocks_skipped")
             self._obs_misses = registry.counter("session.deadline_misses")
-            timeline = getattr(obs, "timeline", None)
-            if timeline is not None and timeline.enabled:
-                self._tl = timeline
-                self._tl_keep = timeline.keep_first
-                self._tl_every = timeline.every_kth
-            span_tracer = getattr(obs, "tracer", None)
-            if span_tracer is not None and span_tracer.enabled:
-                self._sp = span_tracer
-                self._sp_keep = span_tracer.block_keep_first
-                self._sp_every = span_tracer.block_every_kth
+            if obs.timeline.enabled:
+                self._tl = obs.timeline
+            if obs.tracer.enabled:
+                self._sp = obs.tracer
+            if self._tl is not None or self._sp is not None:
+                keep = obs.block_keep_first
+                self._keep = math.inf if keep is None else keep
+                self._every = obs.block_every_kth or 0
             self._slo = getattr(obs, "slo", None)
             self._prof = getattr(obs, "profiler", None)
             if tracer is not None and hasattr(obs, "attach_sim_tracer"):
                 obs.attach_sim_tracer(self.tracer)
-        # Sampling prefilter for the per-block hot path: ``(keep_max,
-        # every_gcd)`` such that an index >= keep_max whose remainder mod
-        # every_gcd is nonzero is recorded by NO sampled surface — one
-        # cheap test rejects it without evaluating per-surface gates.
-        # None means some active surface records every block (no
-        # prefilter possible); (0, 0) means nothing records at all.
-        surfaces = []
-        if self._tl is not None:
-            surfaces.append((self._tl_keep, self._tl_every))
-        if self._sp is not None:
-            surfaces.append((self._sp_keep, self._sp_every))
-        if not surfaces:
-            self._sample_pre: Optional[Tuple[int, int]] = (0, 0)
-        elif all(keep is not None for keep, _every in surfaces):
-            gcd = 0
-            for _keep, every in surfaces:
-                if every is not None:
-                    gcd = math.gcd(gcd, every)
-            self._sample_pre = (
-                max(keep for keep, _every in surfaces), gcd
-            )
-        else:
-            self._sample_pre = None
 
     def _extra_work_pending(self) -> bool:
         """Hook for subclasses with non-playback work (e.g. recording).
@@ -424,12 +433,10 @@ class RoundRobinService:
 
         Consumption times are derivable only after the fact (playback
         cascades over the delivery schedule), so ``consumed`` timeline
-        events and the deadline-slack histogram are recorded here, once
-        per delivered block, with the post-rescore deadlines.
+        events and the deadline-slack histogram are recorded here, with
+        the post-rescore deadlines, for each sampled, non-skipped block.
         """
         timeline = self._tl
-        keep = self._tl_keep
-        every = self._tl_every
         tracer = self._sp
         prof = self._prof
         slack_observe = self._obs_slack.observe
@@ -442,111 +449,42 @@ class RoundRobinService:
                     tracer.end_span(span, span.start, status="unstarted")
                 continue
             elapsed = stream.clock_start
-            skipped_indices = stream.skipped_indices
+            skipped = stream.skipped_indices
             deliveries = stream.deliveries
-            if not skipped_indices and not stream.metrics.misses:
-                # Continuous stream: every block arrived at or before its
-                # deadline, so the playback cascade never stalled on a
-                # late block and index i finished playing at exactly
-                # ``deadline_i + duration_i`` — no O(n) fold needed, and
-                # the sampled walk touches only the sampled indexes.
-                if deliveries:
-                    _last_ready, last_deadline, last_dur = deliveries[-1]
-                    elapsed = last_deadline + last_dur
-                if keep is None:
-                    for index, (ready, deadline, duration) in enumerate(
-                        deliveries
-                    ):
-                        if timeline is not None:
-                            timeline.record(
-                                deadline + duration, stream.request_id,
-                                index, BlockStage.CONSUMED,
-                            )
-                        slack_observe(deadline - ready)
+            # A continuous stream never stalled on a late block, so block
+            # i finished playing at exactly deadline_i + duration_i and
+            # only the sampled indexes are touched; any other stream
+            # folds the playback cascade between sampled indexes.
+            continuous = not skipped and not stream.metrics.misses
+            pos = 0
+            for index in _sampled_indexes(
+                self.obs.block_keep_first,
+                self.obs.block_every_kth,
+                len(deliveries),
+            ):
+                ready, deadline, duration = deliveries[index]
+                if continuous:
+                    end = deadline + duration
                 else:
-                    total = len(deliveries)
-                    for index in range(keep if keep < total else total):
-                        ready, deadline, duration = deliveries[index]
-                        if timeline is not None:
-                            timeline.record(
-                                deadline + duration, stream.request_id,
-                                index, BlockStage.CONSUMED,
-                            )
-                        slack_observe(deadline - ready)
-                    if every is not None:
-                        # Lattice resumes past the keep-first prefix (the
-                        # multiples below it were just recorded).
-                        for index in range(
-                            keep + (-keep % every), total, every
-                        ):
-                            ready, deadline, duration = deliveries[index]
-                            if timeline is not None:
-                                timeline.record(
-                                    deadline + duration,
-                                    stream.request_id,
-                                    index, BlockStage.CONSUMED,
-                                )
-                            slack_observe(deadline - ready)
-            elif keep is None:
-                # Unsampled: score every delivered block.
-                for index, (ready, deadline, duration) in enumerate(
-                    deliveries
-                ):
-                    end = (elapsed if elapsed > ready else ready) + duration
-                    elapsed = end
-                    if index in skipped_indices:
-                        continue
-                    if timeline is not None:
-                        timeline.record(
-                            end, stream.request_id, index,
-                            BlockStage.CONSUMED,
-                        )
-                    slack_observe(deadline - ready)
-            else:
-                # Sampled + stalled: fold the consumption cascade in
-                # plain segments between sampled indexes — the fold body
-                # touches three locals per block, and the sampling
-                # bookkeeping runs only at the sampled indexes.
-                total = len(deliveries)
-                sampled_indexes = list(
-                    range(keep if keep < total else total)
-                )
-                if every is not None:
-                    sampled_indexes.extend(
-                        range(keep + (-keep % every), total, every)
-                    )
-                pos = 0
-                for index in sampled_indexes:
-                    for ready, _deadline, duration in deliveries[
-                        pos:index
-                    ]:
-                        if ready > elapsed:
-                            elapsed = ready
-                        elapsed += duration
-                    ready, deadline, duration = deliveries[index]
-                    if ready > elapsed:
-                        elapsed = ready
-                    elapsed += duration
+                    end = elapsed = _play(elapsed, deliveries[pos:index + 1])
                     pos = index + 1
-                    if index in skipped_indices:
-                        continue
-                    if timeline is not None:
-                        timeline.record(
-                            elapsed, stream.request_id, index,
-                            BlockStage.CONSUMED,
-                        )
-                    slack_observe(deadline - ready)
-                for ready, _deadline, duration in deliveries[pos:]:
-                    if ready > elapsed:
-                        elapsed = ready
-                    elapsed += duration
+                if index in skipped:
+                    continue
+                if timeline is not None:
+                    timeline.record(
+                        end, stream.request_id, index, BlockStage.CONSUMED
+                    )
+                slack_observe(deadline - ready)
+            if not continuous:
+                elapsed = _play(elapsed, deliveries[pos:])
+            elif deliveries:
+                _ready, last_deadline, last_duration = deliveries[-1]
+                elapsed = last_deadline + last_duration
             if prof is not None:
                 prof.record(
                     "span_finalize", ops=len(deliveries) if deliveries else 1
                 )
-            self._obs_delivered.inc(
-                len(deliveries) - len(skipped_indices)
-            )
+            self._obs_delivered.inc(len(deliveries) - len(skipped))
             if stream.metrics.misses:
                 self._obs_misses.inc(stream.metrics.misses)
             if tracer is not None and span is not None:
@@ -568,18 +506,13 @@ class RoundRobinService:
         budget = float("inf")
         obs = self.obs
         tl = self._tl
-        tl_keep = self._tl_keep
-        tl_every = self._tl_every
         sp = self._sp
-        sp_keep = self._sp_keep
-        sp_every = self._sp_every
+        keep = self._keep
+        every = self._every
         prof = self._prof
         # Consumption-cursor / deadline bookkeeping queries this round
         # (the buffer-room probe per stream + one per delivery).
         dq_ops = 0
-        pre = self._sample_pre
-        if pre is not None:
-            pre_keep, pre_mod = pre
         for stream in active:
             if stream.finished:
                 continue
@@ -599,38 +532,19 @@ class RoundRobinService:
             while delivered < quota and not stream.finished:
                 index = stream.next_fetch
                 fetch = stream.fetches[index]
-                if pre is not None and index >= pre_keep and (
-                    pre_mod == 0 or index % pre_mod
-                ):
-                    # Fast reject: no sampled surface records this index.
-                    tl_on = False
-                    block_span = None
-                else:
-                    # Sampling gates, inlined: record when the index is
-                    # in the keep-first prefix or on the every-kth
-                    # lattice (or the surface is unsampled).
-                    tl_on = tl is not None and (
-                        tl_keep is None or index < tl_keep or (
-                            tl_every is not None and not index % tl_every
-                        )
-                    )
+                tl_on = False
+                block_span = None
+                if index < keep or (every and not index % every):
+                    # A sampled block: its timeline stages and its
+                    # service.block span, which opens before the read so
+                    # the read's spans parent on it.
+                    tl_on = tl is not None
                     if tl_on:
-                        tl.record(
-                            time, stream.request_id, index,
-                            BlockStage.ENQUEUED,
-                        )
+                        rid = stream.request_id
+                        tl.record(time, rid, index, BlockStage.ENQUEUED)
                         if fetch.slot is not None:
-                            tl.record(
-                                time, stream.request_id, index,
-                                BlockStage.READ_START,
-                            )
-                    block_span = None
-                    if sp is not None and (
-                        sp_keep is None or index < sp_keep or (
-                            sp_every is not None
-                            and not index % sp_every
-                        )
-                    ):
+                            tl.record(time, rid, index, BlockStage.READ_START)
+                    if sp is not None:
                         block_span = sp.start_span(
                             "service.block",
                             time,
@@ -640,14 +554,9 @@ class RoundRobinService:
                         )
                 skipped = False
                 if fetch.slot is not None:
-                    if block_span is None:
-                        time, skipped = self._fetch_block(
-                            stream, fetch, time
-                        )
-                    else:
-                        time, skipped = self._fetch_block(
-                            stream, fetch, time, block_span
-                        )
+                    time, skipped = self._fetch_block(
+                        stream, fetch, time, block_span
+                    )
                 self._deliver(stream, fetch, time, skipped=skipped)
                 stream.next_fetch += 1
                 delivered += 1
@@ -658,15 +567,9 @@ class RoundRobinService:
                         status="skipped" if skipped else "ok",
                     )
                 if tl_on:
-                    tl.record(
-                        time, stream.request_id, index,
-                        BlockStage.READ_DONE,
-                    )
+                    tl.record(time, rid, index, BlockStage.READ_DONE)
                     if skipped:
-                        tl.record(
-                            time, stream.request_id, index,
-                            BlockStage.SKIPPED,
-                        )
+                        tl.record(time, rid, index, BlockStage.SKIPPED)
                 if skipped and obs is not None:
                     self._obs_skipped.inc()
             if delivered:

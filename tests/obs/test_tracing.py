@@ -150,10 +150,6 @@ class TestOverflow:
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
             SpanTracer(limit=0)
-        with pytest.raises(ParameterError):
-            SpanTracer(block_keep_first=-1)
-        with pytest.raises(ParameterError):
-            SpanTracer(block_every_kth=0)
 
 
 class TestBindings:
@@ -165,23 +161,6 @@ class TestBindings:
         tracer.unbind("s-1")
         assert tracer.context_for("s-1") is None
         tracer.unbind("s-1")  # no-op when absent
-
-
-class TestSampling:
-    def test_unsampled_traces_every_block(self):
-        tracer = SpanTracer(seed=0)
-        assert all(tracer.samples_block(i) for i in range(100))
-
-    def test_keep_first_and_every_kth(self):
-        tracer = SpanTracer(
-            seed=0, block_keep_first=4, block_every_kth=16
-        )
-        sampled = [i for i in range(64) if tracer.samples_block(i)]
-        assert sampled == [0, 1, 2, 3, 16, 32, 48]
-
-    def test_keep_first_only(self):
-        tracer = SpanTracer(seed=0, block_keep_first=2)
-        assert [i for i in range(8) if tracer.samples_block(i)] == [0, 1]
 
 
 class TestSummaryAndExport:
